@@ -1,22 +1,18 @@
-//! Ablation for the unit-level compilation queue and the trade-off
-//! tier's parallel pricing: the same suite compiled at 1/2/4/8 unit
-//! workers, and the same candidate list priced at 1/2/4/8 pricing
-//! workers. Results are bit-identical for every thread count
-//! (`core/tests/tradeoff_par_props.rs`, the harness byte-identity
-//! tests), so both sweeps isolate pure wall-clock scaling.
+//! Ablation for the unit-level compilation queue: the same suite
+//! compiled at 1/2/4/8 unit workers. Results are bit-identical for every
+//! width (the harness byte-identity tests), so the sweep isolates pure
+//! wall-clock scaling.
 //!
-//! Scaling is hardware-bound, exactly as for `sim_threads`: on a
-//! single-core container every width degenerates to timeslicing and the
-//! interesting number is the *overhead* of the threaded configuration
-//! over the inline 1-thread path, which this sweep bounds instead.
+//! Scaling is hardware-bound: on a single-core container every width
+//! degenerates to timeslicing and the interesting number is the
+//! *overhead* of the threaded configuration over the inline 1-thread
+//! path, which this sweep bounds instead.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use dbds_analysis::AnalysisCache;
-use dbds_core::{select_with_rejections_parallel, simulate, DbdsConfig, SelectionMode};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use dbds_core::DbdsConfig;
 use dbds_costmodel::CostModel;
 use dbds_harness::{run_suite, IcacheModel};
 use dbds_workloads::Suite;
-use std::collections::HashSet;
 use std::hint::black_box;
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
@@ -41,37 +37,5 @@ fn bench_unit_queue(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_tradeoff_pricing(c: &mut Criterion) {
-    let model = CostModel::new();
-    // The largest suite's candidate lists, concatenated: a pricing batch
-    // big enough for the pool to amortize fan-out.
-    let mut results = Vec::new();
-    for w in Suite::Octane.workloads() {
-        results.extend(simulate(&w.graph, &model, &mut AnalysisCache::new()));
-    }
-    let cfg = dbds_core::TradeoffConfig::default();
-    let visited = HashSet::new();
-    let mut group = c.benchmark_group("tradeoff_pricing");
-    group.sample_size(20);
-    group.throughput(Throughput::Elements(results.len() as u64));
-    for threads in THREADS {
-        group.bench_with_input(BenchmarkId::new("price", threads), &threads, |b, &t| {
-            b.iter(|| {
-                let priced = select_with_rejections_parallel(
-                    &results,
-                    &cfg,
-                    SelectionMode::CostBenefit,
-                    5_000,
-                    5_000,
-                    &visited,
-                    t,
-                );
-                black_box(priced.selection.accepted.len())
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_unit_queue, bench_tradeoff_pricing);
+criterion_group!(benches, bench_unit_queue);
 criterion_main!(benches);

@@ -13,3 +13,5 @@
 //!
 //! Run everything with `cargo bench --workspace`; individual benches with
 //! `cargo bench -p dbds-bench --bench <name>`.
+
+#![forbid(unsafe_code)]

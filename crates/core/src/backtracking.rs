@@ -63,9 +63,6 @@ impl From<BacktrackStats> for PhaseStats {
             final_size: b.final_size,
             work: b.instructions_copied,
             sim_ns: 0,
-            par_ns: 0,
-            sim_threads: 0,
-            tradeoff_par_ns: 0,
             transform_ns: 0,
             opt_ns: 0,
             guard_ns: 0,

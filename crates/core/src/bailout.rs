@@ -35,7 +35,6 @@ use std::any::Any;
 use std::cell::Cell;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Once;
 use std::time::{Duration, Instant};
 
@@ -150,18 +149,15 @@ const UNBOUNDED: u64 = u64::MAX;
 
 /// Cooperative fuel / deadline accounting shared by the three tiers.
 ///
-/// Internally atomic, so a `&Budget` can thread through the recursive
-/// simulation walk alongside other borrows *and* cross into the
-/// simulation tier's worker threads (the type is `Sync`). Deterministic
-/// accounting still happens on a single thread — the parallel tier's
-/// in-order commit — while workers only read the budget through
-/// [`Budget::stopped_hint`].
+/// Interior-mutable, so a `&Budget` can thread through the recursive
+/// simulation walk alongside other borrows. Each compilation unit owns
+/// its budget and charges it from one thread.
 #[derive(Debug)]
 pub struct Budget {
     /// Remaining fuel; [`UNBOUNDED`] = no limit.
-    fuel: AtomicU64,
+    fuel: Cell<u64>,
     deadline: Option<Instant>,
-    used: AtomicU64,
+    used: Cell<u64>,
 }
 
 impl Budget {
@@ -169,18 +165,18 @@ impl Budget {
     /// starting now.
     pub fn new(guard: &GuardConfig) -> Self {
         Budget {
-            fuel: AtomicU64::new(guard.fuel.unwrap_or(UNBOUNDED)),
+            fuel: Cell::new(guard.fuel.unwrap_or(UNBOUNDED)),
             deadline: guard.deadline.map(|d| Instant::now() + d),
-            used: AtomicU64::new(0),
+            used: Cell::new(0),
         }
     }
 
     /// A budget that never exhausts (fuel is still counted).
     pub fn unlimited() -> Self {
         Budget {
-            fuel: AtomicU64::new(UNBOUNDED),
+            fuel: Cell::new(UNBOUNDED),
             deadline: None,
-            used: AtomicU64::new(0),
+            used: Cell::new(0),
         }
     }
 
@@ -195,24 +191,16 @@ impl Budget {
         if let Some(reason) = crate::faultinject::take_pending_exhaustion() {
             return Err(reason);
         }
-        self.used.fetch_add(units, Ordering::Relaxed);
-        let mut left = self.fuel.load(Ordering::Relaxed);
-        while left != UNBOUNDED {
+        self.used.set(self.used.get().wrapping_add(units));
+        let left = self.fuel.get();
+        if left != UNBOUNDED {
             // `left == 0` keeps exhaustion sticky: once the tank is
             // empty, even zero-cost polls fail.
             if left == 0 || left < units {
-                self.fuel.store(0, Ordering::Relaxed);
+                self.fuel.set(0);
                 return Err(BailoutReason::FuelExhausted);
             }
-            match self.fuel.compare_exchange_weak(
-                left,
-                left - units,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(now) => left = now,
-            }
+            self.fuel.set(left - units);
         }
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
@@ -233,16 +221,7 @@ impl Budget {
 
     /// Total fuel units consumed so far (also counted when unbounded).
     pub fn fuel_used(&self) -> u64 {
-        self.used.load(Ordering::Relaxed)
-    }
-
-    /// `true` once this budget can no longer succeed: the fuel tank is
-    /// empty (sticky) or the deadline has passed. A pure read — nothing
-    /// is consumed or recorded — used by simulation workers as a
-    /// cancellation hint. Both conditions are monotone, so a `true` here
-    /// guarantees every subsequent [`Budget::consume`] fails.
-    pub fn stopped_hint(&self) -> bool {
-        self.fuel.load(Ordering::Relaxed) == 0 || self.deadline.is_some_and(|d| Instant::now() >= d)
+        self.used.get()
     }
 }
 

@@ -47,6 +47,7 @@
 //! # Ok::<(), dbds_ir::ParseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -77,26 +78,6 @@ pub(crate) mod faultinject {
     pub(crate) fn take_pending_exhaustion() -> Option<BailoutReason> {
         None
     }
-
-    /// Mirror of the real module's ahead-of-execution fault decision.
-    #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-    #[allow(dead_code)]
-    pub(crate) enum PlannedFault {
-        Panic,
-        ExhaustFuel,
-        ExhaustDeadline,
-    }
-
-    #[inline(always)]
-    pub(crate) fn take_site_plan(_site: &'static str) -> Option<PlannedFault> {
-        None
-    }
-
-    /// Unreachable without the feature: no plan ever fires.
-    #[inline(always)]
-    pub(crate) fn injected_panic(_site: &str) -> ! {
-        unreachable!("fault-injection is compiled out")
-    }
 }
 
 pub use backtracking::{run_backtracking, BacktrackStats};
@@ -108,11 +89,9 @@ pub use par::WorkerLoad;
 pub use phase::{compile, run_dbds, DbdsConfig, OptLevel, PhaseStats, PoolPlan};
 pub use simulation::{
     audit_opportunities, count_mispredictions, simulate, simulate_paths, simulate_paths_budgeted,
-    simulate_paths_parallel, CandidateKind, Opportunity, SimulationOutcome, SimulationResult,
-    BRANCH_SPLIT_DEFAULT,
+    CandidateKind, Opportunity, SimulationOutcome, SimulationResult, BRANCH_SPLIT_DEFAULT,
 };
 pub use tradeoff::{
-    select, select_with_rejections, select_with_rejections_parallel, should_duplicate,
-    PricedSelection, Selection, SelectionMode, TradeoffConfig,
+    select, select_with_rejections, should_duplicate, Selection, SelectionMode, TradeoffConfig,
 };
 pub use transform::{duplicate, try_duplicate, Duplication, TransformError};

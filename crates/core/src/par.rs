@@ -1,55 +1,36 @@
-//! A shared 2-D work-stealing scheduler for the unit × simulation tiers.
+//! The unit-level compilation pool.
 //!
-//! The build environment has no external dependencies (no rayon), so this
-//! module provides the primitives the compiler needs, built on
-//! [`std::thread::scope`]:
+//! The build environment has no external dependencies (no rayon), so
+//! this module provides the one parallel primitive the compiler needs,
+//! built on [`std::thread::scope`]: [`run_units`] overlaps independent
+//! compilation units. Workers claim units one at a time off a shared
+//! [`AtomicUsize`] cursor, so a worker that finishes early immediately
+//! grabs the next unit. Within a unit everything is sequential — the
+//! simulation tier is the paper's single dominator-tree walk.
 //!
-//! * [`run_indexed`] / [`map_indexed`] / [`run_indexed_driving`] — run a
-//!   closure over every index of a slice, sharded across workers that
-//!   claim *chunks* of the index space from a shared [`AtomicUsize`]
-//!   cursor. Chunk claiming is the intra-queue balancing: a worker that
-//!   finishes its chunk early immediately grabs the next one.
-//! * [`run_units`] — the 2-D scheduler: one global worker set
-//!   partitioned into reserved sub-pools (`unit_workers` that claim
-//!   whole compilation units, plus `sim_workers` that only help the
-//!   inner tiers). While a unit compiles on its worker, its DST and
-//!   pricing fan-outs are *published* to the scheduler as stealable
-//!   queues; sim workers — and unit workers whose unit cursor ran dry —
-//!   steal chunks from those queues instead of parking.
-//!
-//! Determinism is the caller's job and the scheduler is designed to make
-//! it easy: closures receive the *item index*, so results are deposited
-//! into index-addressed slots and merged in index order — execution
-//! order (including who stole what) never leaks into the output. The
-//! commit step of collect/speculate/commit schemes stays on the unit's
-//! own worker (see [`run_indexed_driving`]), so commit order is the
-//! submission order regardless of stealing. The scheduler itself only
-//! reports per-worker load statistics ([`WorkerLoad`]), which depend on
-//! scheduling and must never feed back into results.
+//! Determinism is the caller's job, and the pool makes it easy: closures
+//! receive the unit *index*, and results are placed into index-addressed
+//! slots and returned in submission order, so execution order never
+//! leaks into the output. The pool itself only reports per-worker load
+//! statistics ([`WorkerLoad`]), which depend on scheduling and must
+//! never feed back into results.
 
-use std::any::Any;
-use std::cell::Cell;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::OnceLock;
+use std::time::Instant;
 
 /// What one worker did — observability only; the counts depend on
 /// scheduling and must not feed back into results.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerLoad {
     /// Worker index within the pool (0-based; worker 0 is the calling
-    /// thread when the pool runs inline).
+    /// thread).
     pub worker: usize,
-    /// Items this worker claimed and ran.
+    /// Units this worker claimed and ran.
     pub tasks: usize,
-    /// Of `tasks`, how many were stolen from another unit's published
-    /// queue (0 for work claimed from the worker's own queue or from
-    /// the shared unit cursor).
-    pub stolen: usize,
-    /// Wall-clock nanoseconds the worker spent inside closures, timed
-    /// once per claimed chunk (claim overhead and idle spinning are
-    /// excluded).
+    /// Wall-clock nanoseconds the worker spent inside the unit closure
+    /// (claim overhead excluded).
     pub busy_ns: u128,
 }
 
@@ -61,664 +42,21 @@ pub fn hardware_threads() -> usize {
     *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, usize::from))
 }
 
-/// Resolves a requested thread count: `0` means "ask the OS" (cached,
-/// see [`hardware_threads`]), anything else is used as given; the
-/// result is never 0.
-pub fn resolve_threads(requested: usize) -> usize {
-    if requested == 0 {
-        hardware_threads()
-    } else {
-        requested
-    }
-}
-
-/// Below this many items an indexed fan-out runs inline on the calling
-/// thread even when a wider pool was requested: spawning (or publishing
-/// a stealable queue) costs more than the win for tiny batches — the
-/// parallel rows of `BENCH_suite.json` used to *lose* to sequential on
-/// exactly this overhead.
-const INLINE_CUTOFF: usize = 32;
-
-/// The chunk size for `items` spread over `threads` workers: small
-/// enough that the cursor rebalances uneven tasks, large enough that
-/// claiming stays cheap. Deterministic (results never depend on it).
-fn chunk_size(items: usize, threads: usize) -> usize {
-    (items / (threads * 8)).max(1)
-}
-
-/// The chunk size for a *published* (stealable) queue: coarser than the
-/// dedicated-pool chunks, because every stolen chunk costs a context
-/// switch on an oversubscribed machine and a quiesce handshake with the
-/// owner — stealing is for coarse balance, not fine-grained slicing.
-fn steal_chunk_size(items: usize, workers: usize) -> usize {
-    (items / (workers * 2)).max(16)
-}
-
-/// Locks a mutex, seeing through poisoning: every guarded region here
-/// is a plain deposit that leaves the data valid even if a holder
-/// panicked mid-way, and panics are re-raised separately.
-fn relock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|poison| poison.into_inner())
-}
-
-// ---------------------------------------------------------------------
-// Stealable inner queues
-// ---------------------------------------------------------------------
-
-/// A type-erased, chunk-claimable view of one unit's in-flight indexed
-/// fan-out (DST batch or pricing pass), published to the [`Scheduler`]
-/// so idle workers can steal chunks from it.
-struct InnerQueue {
-    /// Pointer to the owning worker's `run(index)` closure, erased so
-    /// queues of different item types share one registry.
-    ///
-    /// Lifetime protocol: the pointee lives on the owner's stack inside
-    /// `run_shared`, which does not return (or unwind past the
-    /// [`PublishGuard`]) until `done` covers every successful claim, and
-    /// no claim can succeed after the guard closes the cursor. A stealer
-    /// therefore only dereferences `run` between a successful claim and
-    /// the matching `done` increment, while the pointee is guaranteed
-    /// alive.
-    run: *const (),
-    /// Monomorphic trampoline that calls `run` with an index.
-    call: unsafe fn(*const (), usize),
-    len: usize,
-    chunk: usize,
-    /// Claim cursor: `fetch_add(chunk)` claims `[start, start + chunk)`
-    /// if `start < len`; `fetch_max(len)` closes the queue so no further
-    /// claim can succeed.
-    cursor: AtomicUsize,
-    /// Items whose execution finished (or was abandoned to a panic) —
-    /// release-incremented by whoever claimed them. The owner exits its
-    /// wait when `done` covers every successful claim.
-    done: AtomicUsize,
-    /// First panic payload that escaped a stolen chunk; re-raised by the
-    /// owner once the fan-out has quiesced.
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-    /// Per-stealer load contributions for this queue (`worker` is the
-    /// scheduler-wide worker index of the stealer).
-    steal_loads: Mutex<Vec<WorkerLoad>>,
-}
-
-// SAFETY: `run`/`call` are only dereferenced under the claim/done
-// protocol documented on the `run` field; everything else is atomics
-// and mutexes.
-unsafe impl Send for InnerQueue {}
-unsafe impl Sync for InnerQueue {}
-
-/// Calls the closure behind an [`InnerQueue::run`] pointer.
+/// Runs `f(index, &units[index])` over every unit on up to `workers`
+/// scoped threads and returns the results in submission (index) order,
+/// plus the per-worker loads (worker-index order) and the wall-clock
+/// nanoseconds of the fan-out.
 ///
-/// # Safety
-/// `ptr` must point to a live `F`, guaranteed by the claim/done protocol
-/// documented on [`InnerQueue::run`].
-unsafe fn call_erased<F: Fn(usize) + Sync>(ptr: *const (), index: usize) {
-    (*ptr.cast::<F>())(index);
-}
-
-/// Erases a fan-out closure to the `(pointer, trampoline)` pair an
-/// [`InnerQueue`] stores — pinning the closure's concrete type so the
-/// trampoline is monomorphized to match.
-fn erase<F: Fn(usize) + Sync>(run: &F) -> (*const (), unsafe fn(*const (), usize)) {
-    (std::ptr::from_ref(run).cast::<()>(), call_erased::<F>)
-}
-
-/// Shared state of one [`run_units`] invocation: the registry of
-/// published inner queues plus unit-progress counters. Lives on the
-/// stack of `run_units` for the duration of the worker scope.
-struct Scheduler {
-    /// Steal targets: inner queues of in-flight units, in publication
-    /// order (stealers pick the first non-drained queue).
-    queues: Mutex<Vec<Arc<InnerQueue>>>,
-    /// Published-queue count — a lock-free emptiness probe so idle
-    /// workers don't hammer the registry lock.
-    open: AtomicUsize,
-    /// Units whose result (or panic) has been committed.
-    units_done: AtomicUsize,
-    units_total: usize,
-    /// Total workers (unit + sim), used for inner chunk sizing.
-    workers: usize,
-    /// Workers currently with nothing of their own to do: the reserved
-    /// sim workers (counted from construction — they are born idle)
-    /// plus unit workers whose cursor ran dry. Publication gate: a
-    /// fan-out only pays for a stealable queue when somebody could
-    /// actually steal from it, so a fully-busy (or single-core
-    /// sequentialized) scheduler stays on the inline path.
-    idlers: AtomicUsize,
-}
-
-thread_local! {
-    /// The scheduler whose worker the current thread is, if any. Set for
-    /// the lifetime of each scoped worker (see `SchedGuard`), so inner
-    /// fan-outs on a worker publish to the shared pool instead of
-    /// spawning a nested one.
-    static ACTIVE_SCHED: Cell<*const Scheduler> = const { Cell::new(std::ptr::null()) };
-    /// The scheduler-wide worker index of the current thread.
-    static ACTIVE_WORKER: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Registers the current thread as `worker` of `sched` for the guard's
-/// lifetime; restores the previous registration on drop (worker panics
-/// included — the scope join re-raises them, but the thread-local must
-/// not dangle past the scope).
-struct SchedGuard {
-    prev_sched: *const Scheduler,
-    prev_worker: usize,
-}
-
-impl SchedGuard {
-    fn enter(sched: &Scheduler, worker: usize) -> SchedGuard {
-        let prev_sched = ACTIVE_SCHED.with(|c| c.replace(std::ptr::from_ref(sched)));
-        let prev_worker = ACTIVE_WORKER.with(|c| c.replace(worker));
-        SchedGuard {
-            prev_sched,
-            prev_worker,
-        }
-    }
-}
-
-impl Drop for SchedGuard {
-    fn drop(&mut self) {
-        ACTIVE_SCHED.with(|c| c.set(self.prev_sched));
-        ACTIVE_WORKER.with(|c| c.set(self.prev_worker));
-    }
-}
-
-/// The scheduler the current thread works for, with this thread's
-/// worker index — `None` off the worker set.
-fn current_scheduler() -> Option<(&'static Scheduler, usize)> {
-    let ptr = ACTIVE_SCHED.with(Cell::get);
-    if ptr.is_null() {
-        return None;
-    }
-    // SAFETY: the pointer was published by `SchedGuard::enter` on this
-    // thread and is cleared before the scheduler's stack frame dies; the
-    // 'static is a private fiction — the reference never escapes the
-    // worker's scope (it is consumed by `run_shared`/`steal_once`, which
-    // run strictly inside the scope).
-    Some((unsafe { &*ptr }, ACTIVE_WORKER.with(Cell::get)))
-}
-
-/// Merges a stolen-chunk load delta into the queue's attribution list,
-/// coalescing on the stealer's worker index. Must happen *before* the
-/// matching `done` increment so the owner (which drains the list once
-/// `done` covers every claim) can never miss it.
-fn attribute_steal(queue: &InnerQueue, delta: &WorkerLoad) {
-    let mut loads = relock(&queue.steal_loads);
-    if let Some(entry) = loads.iter_mut().find(|l| l.worker == delta.worker) {
-        entry.tasks += delta.tasks;
-        entry.stolen += delta.stolen;
-        entry.busy_ns += delta.busy_ns;
-    } else {
-        loads.push(delta.clone());
-    }
-}
-
-/// Steals and runs chunks from the first non-drained published queue,
-/// until that queue is drained. Returns the load contributed, or `None`
-/// when nothing was stealable.
-fn steal_once(sched: &Scheduler, worker: usize) -> Option<WorkerLoad> {
-    if sched.open.load(Ordering::Acquire) == 0 {
-        return None;
-    }
-    let queue = {
-        let queues = relock(&sched.queues);
-        queues
-            .iter()
-            .find(|q| q.cursor.load(Ordering::Relaxed) < q.len)
-            .cloned()
-    }?;
-    let mut load = WorkerLoad {
-        worker,
-        ..WorkerLoad::default()
-    };
-    loop {
-        let start = queue.cursor.fetch_add(queue.chunk, Ordering::AcqRel);
-        if start >= queue.len {
-            break;
-        }
-        let n = queue.chunk.min(queue.len - start);
-        let t = Instant::now();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            for i in start..start + n {
-                // SAFETY: the claim succeeded (`start < len`) and the
-                // matching `done` increment below has not happened yet,
-                // so the owner is still pinned in `run_shared` and the
-                // closure behind `run` is alive.
-                unsafe { (queue.call)(queue.run, i) };
-            }
-        }));
-        let delta = WorkerLoad {
-            worker,
-            tasks: n,
-            stolen: n,
-            busy_ns: t.elapsed().as_nanos(),
-        };
-        if let Err(payload) = outcome {
-            let mut slot = relock(&queue.panic);
-            if slot.is_none() {
-                *slot = Some(payload);
-            }
-        }
-        attribute_steal(&queue, &delta);
-        load.tasks += delta.tasks;
-        load.stolen += delta.stolen;
-        load.busy_ns += delta.busy_ns;
-        // Claimed items count as done even if the closure panicked, so
-        // the owner's quiesce-wait can't hang on an abandoned chunk.
-        queue.done.fetch_add(n, Ordering::Release);
-    }
-    (load.tasks > 0).then_some(load)
-}
-
-/// Unpublishes and closes an [`InnerQueue`] exactly once, even if the
-/// owner unwinds: a panic in the owner's own chunk must not let the
-/// queue outlive the closure it points into, so `Drop` closes the
-/// cursor and spin-waits for in-flight stolen chunks before the stack
-/// frame dies.
-struct PublishGuard<'a> {
-    sched: &'a Scheduler,
-    queue: &'a Arc<InnerQueue>,
-    finished: bool,
-}
-
-impl PublishGuard<'_> {
-    /// Removes the queue from the registry and closes its claim cursor.
-    /// Returns the total number of items covered by successful claims —
-    /// the value `done` must reach before the closure may die.
-    fn close(&self) -> usize {
-        let mut queues = relock(&self.sched.queues);
-        if let Some(pos) = queues.iter().position(|q| Arc::ptr_eq(q, self.queue)) {
-            queues.remove(pos);
-            drop(queues);
-            self.sched.open.fetch_sub(1, Ordering::Release);
-        }
-        // `fetch_max` returns the previous cursor: every claim below
-        // `len` succeeded and covered `chunk`-bounded items from 0
-        // upward, so `prev.min(len)` is exactly the claimed item count,
-        // and after this no new claim can succeed.
-        self.queue
-            .cursor
-            .fetch_max(self.queue.len, Ordering::AcqRel)
-            .min(self.queue.len)
-    }
-}
-
-impl Drop for PublishGuard<'_> {
-    fn drop(&mut self) {
-        if self.finished {
-            return;
-        }
-        let total = self.close();
-        while self.queue.done.load(Ordering::Acquire) < total {
-            std::thread::yield_now();
-        }
-    }
-}
-
-/// The scheduler-worker path of [`run_indexed_driving`]: instead of
-/// spawning a nested pool, publish the fan-out as a stealable queue,
-/// drain it chunk-by-chunk on the owning worker (interleaving `on_main`
-/// so commits keep flowing), and let idle scheduler workers steal the
-/// rest. Tiny fan-outs skip publication entirely.
-fn run_shared<T: Sync>(
-    sched: &Scheduler,
-    worker: usize,
-    items: &[T],
-    each: &(impl Fn(usize, &T) + Sync),
-    on_main: &mut impl FnMut(),
-) -> Vec<WorkerLoad> {
-    let mut own = WorkerLoad {
-        worker,
-        ..WorkerLoad::default()
-    };
-    if items.len() < INLINE_CUTOFF || sched.idlers.load(Ordering::Acquire) == 0 {
-        let t = Instant::now();
-        for (i, item) in items.iter().enumerate() {
-            each(i, item);
-            own.tasks += 1;
-            on_main();
-        }
-        own.busy_ns = t.elapsed().as_nanos();
-        return vec![own];
-    }
-    let run = |i: usize| each(i, &items[i]);
-    let (run_ptr, call) = erase(&run);
-    let queue = Arc::new(InnerQueue {
-        run: run_ptr,
-        call,
-        len: items.len(),
-        chunk: steal_chunk_size(items.len(), sched.workers),
-        cursor: AtomicUsize::new(0),
-        done: AtomicUsize::new(0),
-        panic: Mutex::new(None),
-        steal_loads: Mutex::new(Vec::new()),
-    });
-    let mut guard = PublishGuard {
-        sched,
-        queue: &queue,
-        finished: false,
-    };
-    relock(&sched.queues).push(Arc::clone(&queue));
-    sched.open.fetch_add(1, Ordering::Release);
-    loop {
-        let start = queue.cursor.fetch_add(queue.chunk, Ordering::AcqRel);
-        if start >= queue.len {
-            break;
-        }
-        let n = queue.chunk.min(queue.len - start);
-        // Count the claim as done even if `run` unwinds, so the guard's
-        // quiesce-wait (and any concurrent stealer's owner) can't hang.
-        struct DoneOnDrop<'q>(&'q InnerQueue, usize);
-        impl Drop for DoneOnDrop<'_> {
-            fn drop(&mut self) {
-                self.0.done.fetch_add(self.1, Ordering::Release);
-            }
-        }
-        let done_guard = DoneOnDrop(&queue, n);
-        let t = Instant::now();
-        for i in start..start + n {
-            run(i);
-        }
-        own.busy_ns += t.elapsed().as_nanos();
-        own.tasks += n;
-        drop(done_guard);
-        on_main();
-    }
-    let total = guard.close();
-    while queue.done.load(Ordering::Acquire) < total {
-        on_main();
-        std::thread::yield_now();
-    }
-    guard.finished = true;
-    drop(guard);
-    if let Some(payload) = relock(&queue.panic).take() {
-        resume_unwind(payload);
-    }
-    let mut loads = vec![own];
-    loads.append(&mut relock(&queue.steal_loads));
-    loads
-}
-
-// ---------------------------------------------------------------------
-// Indexed fan-outs
-// ---------------------------------------------------------------------
-
-/// Runs `each(index, &items[index])` for every index of `items`, sharded
-/// over up to `threads` workers. With `threads <= 1`, a single item, or
-/// fewer items than the inline cutoff, everything runs inline on the
-/// calling thread in index order — the parallel and sequential paths
-/// share one loop so their behavior can only differ by scheduling,
-/// never by code path. On a 2-D scheduler worker the fan-out is instead
-/// published to the shared pool (see [`run_units`]); the requested
-/// width is ignored there, since the scheduler's own workers do the
-/// helping.
-///
-/// `each` must be safe to call concurrently for distinct indices; every
-/// index is visited exactly once. Returns the per-worker loads, calling
-/// worker first.
-pub fn run_indexed<T: Sync>(
-    threads: usize,
-    items: &[T],
-    each: impl Fn(usize, &T) + Sync,
-) -> Vec<WorkerLoad> {
-    if let Some((sched, worker)) = current_scheduler() {
-        return run_shared(sched, worker, items, &each, &mut || {});
-    }
-    let threads = resolve_threads(threads).min(items.len()).max(1);
-    if threads == 1 || items.len() < INLINE_CUTOFF {
-        return vec![drain_inline(items, &each, &mut || {})];
-    }
-    let cursor = AtomicUsize::new(0);
-    let chunk = chunk_size(items.len(), threads);
-    std::thread::scope(|scope| {
-        let (cursor, each) = (&cursor, &each);
-        let handles: Vec<_> = (1..threads)
-            .map(|w| scope.spawn(move || drain_chunks(w, cursor, chunk, items, each)))
-            .collect();
-        // The calling thread participates as worker 0 and then *blocks*
-        // on the joins — no poll loop burning a core.
-        let own = drain_chunks(0, cursor, chunk, items, each);
-        let mut loads = vec![own];
-        for handle in handles {
-            match handle.join() {
-                Ok(load) => loads.push(load),
-                // A worker can only die on a panic that escaped `each`;
-                // re-raise it on the caller thread instead of hiding it.
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        loads
-    })
-}
-
-/// The shared chunk-claiming drain loop: one `Instant` pair per claimed
-/// chunk (not per item), so load accounting stays cheap.
-fn drain_chunks<T: Sync>(
-    worker: usize,
-    cursor: &AtomicUsize,
-    chunk: usize,
-    items: &[T],
-    each: &(impl Fn(usize, &T) + Sync),
-) -> WorkerLoad {
-    let mut load = WorkerLoad {
-        worker,
-        ..WorkerLoad::default()
-    };
-    loop {
-        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if start >= items.len() {
-            break;
-        }
-        let t = Instant::now();
-        for (idx, item) in items.iter().enumerate().skip(start).take(chunk) {
-            each(idx, item);
-            load.tasks += 1;
-        }
-        load.busy_ns += t.elapsed().as_nanos();
-    }
-    load
-}
-
-/// The inline (single-threaded) drain: index order, `each` then
-/// `on_main` per item.
-fn drain_inline<T: Sync>(
-    items: &[T],
-    each: &impl Fn(usize, &T),
-    on_main: &mut impl FnMut(),
-) -> WorkerLoad {
-    let mut load = WorkerLoad::default();
-    let t = Instant::now();
-    for (idx, item) in items.iter().enumerate() {
-        each(idx, item);
-        load.tasks += 1;
-        on_main();
-    }
-    load.busy_ns = t.elapsed().as_nanos();
-    load
-}
-
-/// Runs `f(index, &items[index])` for every index on the pool and
-/// returns the results **in index order**, regardless of which worker
-/// computed what — the standard deterministic fan-out: each result is
-/// deposited into its index-addressed slot and the slots are drained
-/// sequentially afterwards. Also returns the per-worker loads.
-///
-/// This is the primitive behind the trade-off tier's parallel candidate
-/// pricing; under a 2-D scheduler it publishes to the shared pool like
-/// [`run_indexed`].
-pub fn map_indexed<T: Sync, R: Send>(
-    threads: usize,
-    items: &[T],
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> (Vec<R>, Vec<WorkerLoad>) {
-    let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-    let loads = run_indexed(threads, items, |i, item| {
-        let r = f(i, item);
-        match slots[i].lock() {
-            Ok(mut slot) => *slot = Some(r),
-            // A poisoned slot means another worker panicked mid-store,
-            // which `run_indexed` re-raises on the caller; storing through
-            // the poison keeps this worker's result intact regardless.
-            Err(poison) => *poison.into_inner() = Some(r),
-        }
-    });
-    let results = slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(|poison| poison.into_inner())
-                .expect("run_indexed visits every index exactly once")
-        })
-        .collect();
-    (results, loads)
-}
-
-/// Like [`run_indexed`], but dedicates the calling thread to `on_main`
-/// instead of claiming items: while spawned workers drain `items`, the
-/// calling thread repeatedly runs `on_main` (yielding between calls)
-/// until every worker has finished. With `threads <= 1`, a single item,
-/// or fewer items than the inline cutoff, everything runs inline in
-/// index order — `each`, then `on_main`, per item. On a 2-D scheduler
-/// worker the fan-out publishes to the shared pool and the owning
-/// worker both drains chunks and interleaves `on_main`.
-///
-/// The split exists for collect/speculate/commit schemes whose commit
-/// step must stay on the calling thread (e.g. because it reads
-/// thread-local state, like the fault-injection pending-exhaustion
-/// cell): workers only speculate, `on_main` commits. `on_main` must be
-/// cheap when there is nothing new to commit — it runs in a poll loop,
-/// not on a notification.
-pub fn run_indexed_driving<T: Sync>(
-    threads: usize,
-    items: &[T],
-    each: impl Fn(usize, &T) + Sync,
-    mut on_main: impl FnMut(),
-) -> Vec<WorkerLoad> {
-    if let Some((sched, worker)) = current_scheduler() {
-        return run_shared(sched, worker, items, &each, &mut on_main);
-    }
-    let threads = resolve_threads(threads).min(items.len()).max(1);
-    if threads == 1 || items.len() < INLINE_CUTOFF {
-        return vec![drain_inline(items, &each, &mut on_main)];
-    }
-    let cursor = AtomicUsize::new(0);
-    let chunk = chunk_size(items.len(), threads);
-    std::thread::scope(|scope| {
-        let (cursor, each) = (&cursor, &each);
-        let handles: Vec<_> = (0..threads)
-            .map(|w| scope.spawn(move || drain_chunks(w, cursor, chunk, items, each)))
-            .collect();
-        while !handles.iter().all(|h| h.is_finished()) {
-            on_main();
-            std::thread::yield_now();
-        }
-        // Joined (and therefore merged) in worker-index order.
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(load) => load,
-                Err(payload) => resume_unwind(payload),
-            })
-            .collect()
-    })
-}
-
-// ---------------------------------------------------------------------
-// The unit-level 2-D scheduler
-// ---------------------------------------------------------------------
-
-/// The per-worker state shared by every worker of a [`run_units`]
-/// scope (bundled so the worker loop stays a readable signature).
-struct UnitPool<'a, I, T> {
-    sched: &'a Scheduler,
-    unit_workers: usize,
-    units: &'a [I],
-    cursor: &'a AtomicUsize,
-    slots: &'a [Mutex<Option<T>>],
-    panics: &'a Mutex<Vec<Box<dyn Any + Send>>>,
-}
-
-/// One scheduler worker: unit workers (index below `unit_workers`)
-/// claim whole units off the shared cursor; once the cursor runs dry —
-/// or from the start, for reserved sim workers — they steal chunks
-/// from in-flight units' published queues until the last unit commits.
-fn unit_worker_loop<I: Sync, T: Send>(
-    pool: &UnitPool<'_, I, T>,
-    worker: usize,
-    f: &(impl Fn(usize, &I) -> T + Sync),
-) -> WorkerLoad {
-    let _tls = SchedGuard::enter(pool.sched, worker);
-    let mut load = WorkerLoad {
-        worker,
-        ..WorkerLoad::default()
-    };
-    if worker < pool.unit_workers {
-        loop {
-            let i = pool.cursor.fetch_add(1, Ordering::AcqRel);
-            if i >= pool.units.len() {
-                break;
-            }
-            let t = Instant::now();
-            let outcome = catch_unwind(AssertUnwindSafe(|| f(i, &pool.units[i])));
-            load.busy_ns += t.elapsed().as_nanos();
-            load.tasks += 1;
-            match outcome {
-                Ok(result) => *relock(&pool.slots[i]) = Some(result),
-                Err(payload) => relock(pool.panics).push(payload),
-            }
-            pool.sched.units_done.fetch_add(1, Ordering::Release);
-        }
-        // Cursor dry: this worker is now a stealer — tell publishers.
-        // (Sim workers are pre-counted at scheduler construction.)
-        pool.sched.idlers.fetch_add(1, Ordering::Release);
-    }
-    let mut idle_rounds = 0u32;
-    while pool.sched.units_done.load(Ordering::Acquire) < pool.sched.units_total {
-        match steal_once(pool.sched, worker) {
-            Some(stolen) => {
-                load.tasks += stolen.tasks;
-                load.stolen += stolen.stolen;
-                load.busy_ns += stolen.busy_ns;
-                idle_rounds = 0;
-            }
-            None => {
-                // Nothing stealable: back off exponentially (a few
-                // yields, then sleeps doubling to ~2 ms) so idle
-                // workers don't burn the cores the busy ones need —
-                // on an oversubscribed machine eager spinning costs
-                // more than any steal could ever win back.
-                if idle_rounds < 4 {
-                    std::thread::yield_now();
-                } else {
-                    let exp = (idle_rounds - 4).min(5);
-                    std::thread::sleep(Duration::from_micros(50 << exp));
-                }
-                idle_rounds = idle_rounds.saturating_add(1);
-            }
-        }
-    }
-    load
-}
-
-/// Runs `f(index, &units[index])` over every unit on a shared 2-D
-/// scheduler and returns the results in submission (index) order —
-/// execution order never leaks into the output — plus the per-worker
-/// loads and the wall-clock nanoseconds of the fan-out.
-///
-/// The worker set is `unit_workers + sim_workers` scoped threads:
-/// `unit_workers` claim whole units one at a time off a shared cursor;
-/// the reserved `sim_workers` (and any unit worker whose cursor ran
-/// dry) steal chunks from in-flight units' published DST/pricing
-/// queues instead of parking. With one unit worker and no sim workers
-/// everything runs inline on the calling thread in index order, so the
-/// sequential path is the same code the nested tiers see.
+/// The calling thread participates as worker 0, so with one worker
+/// everything runs inline on it in index order — the sequential path is
+/// the same loop. A panic in `f` is re-raised on the caller once every
+/// worker has stopped.
 ///
 /// This is the unit-level compilation queue shared by the evaluation
-/// harness (`dbds_harness::run_units` re-exports it) and the
-/// compilation service's batch dispatcher.
+/// harness (`dbds_harness::run_units` wraps it) and the compilation
+/// service's batch dispatcher.
 pub fn run_units<I: Sync, T: Send>(
-    unit_workers: usize,
-    sim_workers: usize,
+    workers: usize,
     units: &[I],
     f: impl Fn(usize, &I) -> T + Sync,
 ) -> (Vec<T>, Vec<WorkerLoad>, u128) {
@@ -726,69 +64,48 @@ pub fn run_units<I: Sync, T: Send>(
     if units.is_empty() {
         return (Vec::new(), Vec::new(), t.elapsed().as_nanos());
     }
-    let unit_workers = unit_workers.max(1).min(units.len());
-    if unit_workers == 1 && sim_workers == 0 {
-        // Pure sequential: no scheduler, no thread-local registration —
-        // inner fan-outs take their normal (per-unit config) path.
-        let mut load = WorkerLoad::default();
-        let mut results = Vec::with_capacity(units.len());
-        for (i, unit) in units.iter().enumerate() {
+    let workers = workers.clamp(1, units.len());
+    let cursor = AtomicUsize::new(0);
+    let drain = |worker: usize| {
+        let mut load = WorkerLoad {
+            worker,
+            ..WorkerLoad::default()
+        };
+        let mut done = Vec::new();
+        loop {
+            // Relaxed: the cursor only hands out indices; results reach
+            // the caller through the joins.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(unit) = units.get(i) else { break };
             let t_unit = Instant::now();
-            results.push(f(i, unit));
+            done.push((i, f(i, unit)));
             load.busy_ns += t_unit.elapsed().as_nanos();
             load.tasks += 1;
         }
-        return (results, vec![load], t.elapsed().as_nanos());
-    }
-    let sched = Scheduler {
-        queues: Mutex::new(Vec::new()),
-        open: AtomicUsize::new(0),
-        units_done: AtomicUsize::new(0),
-        units_total: units.len(),
-        workers: unit_workers + sim_workers,
-        // Sim workers are born idle; counting them before they spawn
-        // closes the startup race where an early fan-out would see no
-        // stealers and skip publication.
-        idlers: AtomicUsize::new(sim_workers),
+        (done, load)
     };
-    let slots: Vec<Mutex<Option<T>>> = units.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let panics: Mutex<Vec<Box<dyn Any + Send>>> = Mutex::new(Vec::new());
-    let pool = UnitPool {
-        sched: &sched,
-        unit_workers,
-        units,
-        cursor: &cursor,
-        slots: &slots,
-        panics: &panics,
-    };
-    let loads: Vec<WorkerLoad> = std::thread::scope(|scope| {
-        let pool = &pool;
-        let f = &f;
-        let handles: Vec<_> = (0..pool.sched.workers)
-            .map(|w| scope.spawn(move || unit_worker_loop(pool, w, f)))
+    let parts = std::thread::scope(|scope| {
+        let drain = &drain;
+        let handles: Vec<_> = (1..workers)
+            .map(|w| scope.spawn(move || drain(w)))
             .collect();
-        // The calling thread blocks on the joins — the old map-based
-        // queue spun here polling `is_finished`, which on small machines
-        // stole cycles from the workers themselves.
-        handles
-            .into_iter()
-            .map(|h| match h.join() {
-                Ok(load) => load,
-                Err(payload) => resume_unwind(payload),
-            })
-            .collect()
+        let mut parts = vec![drain(0)];
+        for handle in handles {
+            parts.push(handle.join().unwrap_or_else(|p| resume_unwind(p)));
+        }
+        parts
     });
-    if let Some(payload) = relock(&panics).drain(..).next() {
-        resume_unwind(payload);
+    let mut slots: Vec<Option<T>> = units.iter().map(|_| None).collect();
+    let mut loads = Vec::with_capacity(parts.len());
+    for (done, load) in parts {
+        for (i, result) in done {
+            slots[i] = Some(result);
+        }
+        loads.push(load);
     }
     let results = slots
         .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .unwrap_or_else(|poison| poison.into_inner())
-                .expect("every unit committed a result or a panic")
-        })
+        .map(|s| s.expect("the cursor hands out every unit exactly once"))
         .collect();
     (results, loads, t.elapsed().as_nanos())
 }
@@ -796,28 +113,17 @@ pub fn run_units<I: Sync, T: Send>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
-    use std::sync::Mutex;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]
-    fn every_index_visited_exactly_once() {
-        let items: Vec<u64> = (0..97).collect();
-        for threads in [1, 2, 3, 8] {
-            let seen: Vec<AtomicU64> = (0..items.len()).map(|_| AtomicU64::new(0)).collect();
-            let loads = run_indexed(threads, &items, |i, &v| {
-                assert_eq!(v, i as u64);
-                seen[i].fetch_add(1, Ordering::Relaxed);
-            });
-            for (i, s) in seen.iter().enumerate() {
-                assert_eq!(
-                    s.load(Ordering::Relaxed),
-                    1,
-                    "index {i} at {threads} threads"
-                );
-            }
-            assert_eq!(loads.iter().map(|l| l.tasks).sum::<usize>(), items.len());
-            assert!(loads.len() <= threads);
-            // Worker-index order (the caller participates as worker 0).
+    fn results_come_back_in_submission_order() {
+        let units: Vec<u64> = (0..23).collect();
+        for workers in [1, 2, 3, 8, 64] {
+            let (results, loads, _) = run_units(workers, &units, |i, &v| v * 1000 + i as u64);
+            let expected: Vec<u64> = units.iter().map(|&v| v * 1001).collect();
+            assert_eq!(results, expected, "at {workers} workers");
+            assert_eq!(loads.iter().map(|l| l.tasks).sum::<usize>(), units.len());
+            assert!(loads.len() <= workers.min(units.len()));
             for (w, load) in loads.iter().enumerate() {
                 assert_eq!(load.worker, w);
             }
@@ -825,141 +131,45 @@ mod tests {
     }
 
     #[test]
-    fn inline_pool_runs_in_index_order() {
-        let items: Vec<usize> = (0..40).collect();
-        let order = Mutex::new(Vec::new());
-        run_indexed(1, &items, |i, _| order.lock().unwrap().push(i));
-        let order = order.into_inner().unwrap();
-        assert_eq!(order, (0..40).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn small_fanouts_run_inline_without_spawning() {
-        // Below the cutoff a wide pool must not spawn: everything runs
-        // on the calling thread, in index order.
-        let items: Vec<usize> = (0..(INLINE_CUTOFF - 1)).collect();
+    fn one_worker_runs_inline_in_index_order() {
+        let units: Vec<usize> = (0..40).collect();
         let caller = std::thread::current().id();
-        let order = Mutex::new(Vec::new());
-        let loads = run_indexed(8, &items, |i, _| {
+        let (order, loads, _) = run_units(1, &units, |i, _| {
             assert_eq!(std::thread::current().id(), caller);
-            order.lock().unwrap().push(i);
+            i
         });
+        assert_eq!(order, units);
         assert_eq!(loads.len(), 1);
-        assert_eq!(loads[0].tasks, items.len());
-        assert_eq!(
-            order.into_inner().unwrap(),
-            (0..items.len()).collect::<Vec<_>>()
-        );
-    }
-
-    #[test]
-    fn map_indexed_returns_results_in_index_order() {
-        let items: Vec<u64> = (0..131).collect();
-        for threads in [1, 2, 3, 8] {
-            let (results, loads) = map_indexed(threads, &items, |i, &v| v * 2 + i as u64);
-            assert_eq!(
-                results,
-                items.iter().map(|&v| v * 3).collect::<Vec<_>>(),
-                "at {threads} threads"
-            );
-            assert_eq!(loads.iter().map(|l| l.tasks).sum::<usize>(), items.len());
-        }
-        let (empty, _) = map_indexed(4, &[] as &[u64], |_, _| 0u64);
-        assert!(empty.is_empty());
     }
 
     #[test]
     fn empty_input_is_fine() {
-        let loads = run_indexed(4, &[] as &[u64], |_, _| panic!("never called"));
-        assert_eq!(loads.iter().map(|l| l.tasks).sum::<usize>(), 0);
-        let (results, loads, _) = run_units(4, 2, &[] as &[u64], |_, _| 0u64);
+        let (results, loads, _) = run_units(4, &[] as &[u64], |_, _| 0u64);
         assert!(results.is_empty());
         assert!(loads.is_empty());
     }
 
     #[test]
-    fn resolve_threads_never_zero() {
-        assert!(resolve_threads(0) >= 1);
-        assert_eq!(resolve_threads(3), 3);
-        assert_eq!(resolve_threads(0), hardware_threads());
-        // Cached: repeated resolution returns the same value.
+    fn hardware_threads_is_cached_and_positive() {
+        assert!(hardware_threads() >= 1);
         assert_eq!(hardware_threads(), hardware_threads());
     }
 
     #[test]
-    fn run_units_commits_in_submission_order_across_splits() {
-        let units: Vec<u64> = (0..23).collect();
-        for (u, s) in [(1, 0), (2, 0), (1, 2), (3, 2), (4, 4)] {
-            let (results, loads, _) = run_units(u, s, &units, |i, &v| {
-                // Inner fan-out per unit: publishable once the scheduler
-                // is active, inline otherwise.
-                let items: Vec<u64> = (0..40).collect();
-                let (inner, _) = map_indexed(1, &items, |j, &w| w + j as u64);
-                inner.iter().sum::<u64>() + v * 1000 + i as u64
-            });
-            let expected: Vec<u64> = units
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| (0..40u64).map(|w| w * 2).sum::<u64>() + v * 1000 + i as u64)
-                .collect();
-            assert_eq!(results, expected, "at split {u}x{s}");
-            assert!(
-                loads.iter().map(|l| l.tasks).sum::<usize>() >= units.len(),
-                "unit claims counted at {u}x{s}"
-            );
-        }
-    }
-
-    #[test]
-    fn stolen_chunks_attributed_to_stealing_worker() {
-        // One unit worker, two reserved sim workers. The unit's inner
-        // fan-out is large and its first item blocks the owner until the
-        // stealers have drained (nearly) everything else, forcing steals.
-        let ran = AtomicUsize::new(0);
-        let units = [0usize];
-        let len = 512usize;
-        let (results, _, _) = run_units(1, 2, &units, |_, _| {
-            let items: Vec<usize> = (0..len).collect();
-            run_indexed(1, &items, |i, _| {
-                if i == 0 {
-                    // The owner runs item 0 (it claims chunk 0 first);
-                    // hold it until the stealers have done real work.
-                    while ran.load(Ordering::Acquire) < len / 2 {
-                        std::thread::yield_now();
-                    }
-                }
-                ran.fetch_add(1, Ordering::Release);
-            })
-        });
-        let loads = &results[0];
-        assert_eq!(loads.iter().map(|l| l.tasks).sum::<usize>(), len);
-        // Work stolen from the unit's queue is attributed to the
-        // stealing worker, not the owner.
-        let stolen: usize = loads
-            .iter()
-            .filter(|l| l.worker != loads[0].worker)
-            .map(|l| l.stolen)
-            .sum();
-        assert!(stolen > 0, "expected sim workers to steal: {loads:?}");
-        for load in &loads[1..] {
-            assert_eq!(load.tasks, load.stolen, "stealers only steal");
-            assert_ne!(load.worker, loads[0].worker);
-        }
-        // The owner's own chunks are not counted as stolen.
-        assert_eq!(loads[0].stolen, 0);
-    }
-
-    #[test]
-    fn unit_worker_panic_propagates() {
+    fn unit_panic_propagates_to_the_caller() {
         let units: Vec<usize> = (0..8).collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            run_units(2, 1, &units, |i, _| {
-                if i == 3 {
-                    panic!("unit 3 exploded");
-                }
-                i
-            })
-        }));
-        assert!(outcome.is_err());
+        for workers in [1, 2, 4] {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                run_units(workers, &units, |i, _| {
+                    if i == 3 {
+                        panic!("unit 3 exploded");
+                    }
+                    i
+                })
+            }));
+            let payload = outcome.expect_err("the panic must reach the caller");
+            let msg = payload.downcast_ref::<&str>().copied();
+            assert_eq!(msg, Some("unit 3 exploded"), "at {workers} workers");
+        }
     }
 }

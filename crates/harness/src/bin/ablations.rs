@@ -7,6 +7,8 @@
 //! cargo run -p dbds-harness --bin ablations --release
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dbds_core::{DbdsConfig, OptLevel, TradeoffConfig};
 use dbds_costmodel::CostModel;
 use dbds_harness::{geomean_pct, measure, IcacheModel};

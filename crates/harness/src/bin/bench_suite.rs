@@ -1,8 +1,7 @@
 //! Emits `BENCH_suite.json`: the whole-corpus compilation pipeline swept
-//! over candidate `(unit_threads, sim_threads)` splits of the shared 2-D
-//! scheduler — the explicit matrix plus the adaptive `(0, 0)` plan —
-//! with wall-clock per configuration next to the deterministic counters
-//! that prove every split did the same work. The winner by wall clock is
+//! over unit-pool widths — explicit worker counts plus the adaptive `0`
+//! — with wall-clock per width next to the deterministic counters that
+//! prove every width did the same work. The winner by wall clock is
 //! recorded as the `chosen` plan. The perf trajectory of the suite
 //! pipeline is tracked by committing this file per revision (schema
 //! documented in EXPERIMENTS.md).
@@ -14,12 +13,14 @@
 //! The deterministic counters (`work`, `candidates`, `duplications`,
 //! `raw_cycles`, summed over every suite × benchmark × configuration)
 //! must be identical across the sweep — the bin exits non-zero if any
-//! split disagrees with the sequential baseline, and a split is only
+//! width disagrees with the sequential baseline, and a width is only
 //! eligible to win on wall clock after passing that gate. Wall-clock
 //! fields (`wall_ms`, `unit_pool_ms`) are *not* deterministic: they
 //! depend on the machine, its load, and `hardware_threads` (on a
 //! single-core host the threaded rows bound scheduler overhead instead
 //! of showing overlap).
+
+#![forbid(unsafe_code)]
 
 use dbds_core::DbdsConfig;
 use dbds_costmodel::CostModel;
@@ -28,10 +29,10 @@ use dbds_workloads::Suite;
 use std::fmt::Write as _;
 use std::time::Instant;
 
-/// The candidate splits the sweep covers: `(unit_threads, sim_threads)`
-/// as requested (0 = adaptive). The `(1, 1)` row is the sequential
-/// baseline every other row's counters must match.
-const MATRIX: [(usize, usize); 5] = [(1, 1), (1, 4), (4, 1), (4, 4), (0, 0)];
+/// The unit-pool widths the sweep covers, as requested (0 = adaptive).
+/// The first row is the sequential baseline every other row's counters
+/// must match.
+const WIDTHS: [usize; 3] = [1, 4, 0];
 
 /// Deterministic whole-corpus work counters, summed over every
 /// suite × benchmark × configuration.
@@ -58,14 +59,12 @@ fn counters(results: &[SuiteResult]) -> Counters {
     c
 }
 
-/// One measured split of the sweep.
+/// One measured width of the sweep.
 struct Run {
-    /// Requested values (0 = adaptive).
+    /// Requested value (0 = adaptive).
     unit_threads: usize,
-    sim_threads: usize,
-    /// What the planner resolved them to on this machine.
+    /// What the planner resolved it to on this machine.
     unit_workers: usize,
-    sim_workers: usize,
     counters: Counters,
     wall_ms: f64,
     unit_pool_ms: f64,
@@ -80,10 +79,9 @@ fn main() {
     let hardware_threads = dbds_core::par::hardware_threads();
 
     let mut runs = Vec::new();
-    for (unit, sim) in MATRIX {
+    for unit in WIDTHS {
         let cfg = DbdsConfig {
             unit_threads: unit,
-            sim_threads: sim,
             ..DbdsConfig::default()
         };
         let t = Instant::now();
@@ -94,52 +92,44 @@ fn main() {
         let wall_ms = t.elapsed().as_secs_f64() * 1e3;
         let unit_pool_ms: f64 = results.iter().map(|r| r.unit_par_ns as f64 / 1e6).sum();
         // Every suite in the corpus has more workloads than any sane
-        // worker count, so the resolved split is suite-invariant; take
+        // worker count, so the resolved width is suite-invariant; take
         // it from the first result.
-        let (unit_workers, sim_workers) = results
-            .first()
-            .map_or((1, 0), |r| (r.unit_threads, r.sim_workers));
+        let unit_workers = results.first().map_or(1, |r| r.unit_threads);
         eprintln!(
-            "bench_suite: requested {unit}x{sim} -> scheduler {unit_workers}x{sim_workers}: \
+            "bench_suite: requested {unit} -> {unit_workers} unit workers: \
              {wall_ms:.1} ms wall, {unit_pool_ms:.1} ms in the unit pool"
         );
         runs.push(Run {
             unit_threads: unit,
-            sim_threads: sim,
             unit_workers,
-            sim_workers,
             counters: counters(&results),
             wall_ms,
             unit_pool_ms,
         });
     }
 
-    // Hard determinism gate: a split whose counters diverge from the
+    // Hard determinism gate: a width whose counters diverge from the
     // sequential baseline fails the whole sweep (and can never win).
     let base = runs[0].counters;
     for run in &runs {
         if run.counters != base {
             eprintln!(
-                "bench_suite: DETERMINISM VIOLATION at unit_threads={} sim_threads={}: \
+                "bench_suite: DETERMINISM VIOLATION at unit_threads={}: \
                  {:?} != sequential {:?}",
-                run.unit_threads, run.sim_threads, run.counters, base
+                run.unit_threads, run.counters, base
             );
             std::process::exit(1);
         }
     }
 
-    // All splits passed the gate; the winner is pure wall clock.
+    // All widths passed the gate; the winner is pure wall clock.
     let chosen = runs
         .iter()
         .min_by(|a, b| a.wall_ms.total_cmp(&b.wall_ms))
-        .expect("the matrix is never empty");
+        .expect("the sweep is never empty");
     eprintln!(
-        "bench_suite: chosen plan {}x{} (requested {}x{}), {:.1} ms",
-        chosen.unit_workers,
-        chosen.sim_workers,
-        chosen.unit_threads,
-        chosen.sim_threads,
-        chosen.wall_ms
+        "bench_suite: chosen {} unit workers (requested {}), {:.1} ms",
+        chosen.unit_workers, chosen.unit_threads, chosen.wall_ms
     );
 
     let mut out = String::new();
@@ -154,9 +144,7 @@ fn main() {
     let _ = writeln!(out, "  \"configs_per_workload\": 3,");
     let _ = writeln!(out, "  \"chosen\": {{");
     let _ = writeln!(out, "    \"unit_threads\": {},", chosen.unit_threads);
-    let _ = writeln!(out, "    \"sim_threads\": {},", chosen.sim_threads);
     let _ = writeln!(out, "    \"unit_workers\": {},", chosen.unit_workers);
-    let _ = writeln!(out, "    \"sim_workers\": {},", chosen.sim_workers);
     let _ = writeln!(out, "    \"wall_ms\": {:.3}", chosen.wall_ms);
     let _ = writeln!(out, "  }},");
     let _ = writeln!(out, "  \"runs\": [");
@@ -165,9 +153,7 @@ fn main() {
         let c = run.counters;
         let _ = writeln!(out, "    {{");
         let _ = writeln!(out, "      \"unit_threads\": {},", run.unit_threads);
-        let _ = writeln!(out, "      \"sim_threads\": {},", run.sim_threads);
         let _ = writeln!(out, "      \"unit_workers\": {},", run.unit_workers);
-        let _ = writeln!(out, "      \"sim_workers\": {},", run.sim_workers);
         let _ = writeln!(out, "      \"work\": {},", c.work);
         let _ = writeln!(out, "      \"candidates\": {},", c.candidates);
         let _ = writeln!(out, "      \"duplications\": {},", c.duplications);

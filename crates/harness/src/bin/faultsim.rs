@@ -24,6 +24,8 @@
 //! cargo run --release -p dbds-harness --features fault-injection --bin faultsim [-- <seed>]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dbds_core::faultinject::{arm, disarm, FaultPlan};
 use dbds_core::{compile, DbdsConfig, OptLevel};
 use dbds_costmodel::CostModel;
@@ -56,12 +58,8 @@ fn main() {
     let workloads = all_workloads();
     let plan = cfg.pool_plan(workloads.len());
     let unit_cfg = &plan.per_unit;
-    // Stderr only: stdout must stay byte-identical across (unit, sim)
-    // splits.
-    eprintln!(
-        "faultsim: scheduler {}x{} (unit x sim workers)",
-        plan.unit_workers, plan.sim_workers
-    );
+    // Stderr only: stdout must stay byte-identical at every width.
+    eprintln!("faultsim: {} unit workers", plan.unit_workers);
 
     // The ground truth each faulted compilation must still match: the
     // baseline (no duplication, no faults) interpreter outcomes.
@@ -84,9 +82,7 @@ fn main() {
     let mut undo_rollbacks_total = 0u64;
     for fault_plan in &plans {
         // Each unit arms on its own worker thread and disarms before the
-        // worker claims the next unit — per-unit fault ownership. Stolen
-        // DST chunks stay correct because fault decisions are taken at
-        // collect time on the unit's worker and carried in the task.
+        // worker claims the next unit — per-unit fault ownership.
         let (reports, _, _) = run_units(&plan, &workloads, |i, w| {
             arm(fault_plan.clone());
             let mut g = w.graph.clone();

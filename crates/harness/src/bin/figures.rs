@@ -14,13 +14,11 @@
 //! `--lint` exits nonzero when any error-severity diagnostic or any
 //! misprediction survives — the CI lint gate.
 //!
-//! `--sim-threads N` (combinable with every mode) sets the simulation
-//! tier's DST worker count; `--unit-threads N` sets the width of the
+//! `--unit-threads N` (combinable with every mode) sets the width of the
 //! unit-level compilation queue (independent `(workload, config)` units
-//! overlapped on the worker pool). For both, `0` means one per hardware
-//! thread and the defaults honor `DBDS_SIM_THREADS` /
-//! `DBDS_UNIT_THREADS`. All measured results are bit-identical for
-//! every value — only wall-clock changes.
+//! overlapped on the worker pool); `0` means one per hardware thread and
+//! the default honors `DBDS_UNIT_THREADS`. All measured results are
+//! bit-identical for every value — only wall-clock changes.
 //!
 //! Compile-cache modes (the `dbds-server` integration):
 //!
@@ -34,6 +32,8 @@
 //! `--cache mem` uses the in-memory store; any other value is an
 //! on-disk store directory. Session counters are deterministic, so the
 //! `--json` report stays byte-identical across thread counts.
+
+#![forbid(unsafe_code)]
 
 use dbds_core::{compile, DbdsConfig, OptLevel};
 use dbds_costmodel::CostModel;
@@ -66,26 +66,17 @@ fn main() {
         }
     }
 
-    // `--sim-threads N` / `--unit-threads N` compose with every mode;
-    // strip them before the mode match.
-    for (flag, pick) in [
-        (
-            "--sim-threads",
-            (|cfg, n| cfg.sim_threads = n) as fn(&mut DbdsConfig, usize),
-        ),
-        ("--unit-threads", |cfg, n| cfg.unit_threads = n),
-    ] {
-        if let Some(pos) = args.iter().position(|a| a == flag) {
-            let parsed = args.get(pos + 1).and_then(|v| v.parse::<usize>().ok());
-            match parsed {
-                Some(n) => {
-                    pick(&mut cfg, n);
-                    args.drain(pos..=pos + 1);
-                }
-                None => {
-                    eprintln!("{flag} expects a thread count (0 = auto)");
-                    std::process::exit(2);
-                }
+    // `--unit-threads N` composes with every mode; strip it before the
+    // mode match.
+    if let Some(pos) = args.iter().position(|a| a == "--unit-threads") {
+        match args.get(pos + 1).and_then(|v| v.parse::<usize>().ok()) {
+            Some(n) => {
+                cfg.unit_threads = n;
+                args.drain(pos..=pos + 1);
+            }
+            None => {
+                eprintln!("--unit-threads expects a thread count (0 = auto)");
+                std::process::exit(2);
             }
         }
     }
@@ -137,12 +128,7 @@ fn main() {
                 .iter()
                 .map(|&s| run_suite(s, &model, &cfg, &icache))
                 .collect();
-            let json = format_json(
-                &results,
-                cfg.sim_threads,
-                cfg.unit_threads,
-                session.as_ref(),
-            );
+            let json = format_json(&results, cfg.unit_threads, session.as_ref());
             if *path == "-" {
                 print!("{json}");
             } else if let Err(e) = std::fs::write(path, &json) {
@@ -198,7 +184,7 @@ fn main() {
         }
         _ => {
             eprintln!(
-                "usage: figures [--sim-threads N] [--unit-threads N] --figure <5|6|7|8> | \
+                "usage: figures [--unit-threads N] --figure <5|6|7|8> | \
                  --summary | --table backtracking | --table phases | --table ablation | --all | \
                  --json <path|-> [--cache mem|DIR] | --client ADDR | --lint [--json <path|->]"
             );
@@ -274,13 +260,12 @@ fn client_session(addr: &str) -> Result<(), String> {
 /// "timing statements … used throughout the compiler", §6.1): how the
 /// phase splits between simulation, the duplication transform and the
 /// optimization pipeline, per suite. Each suite's units run on the
-/// unit-level queue; `unit pool` is the wall clock of that fan-out,
-/// `price pool` the trade-off tier's pricing fan-out, and `undo` the
-/// undo-log transaction bookkeeping (with the deterministic `edits` /
-/// `rollb` counters next to it).
+/// unit-level queue; `unit pool` is the wall clock of that fan-out and
+/// `undo` the undo-log transaction bookkeeping (with the deterministic
+/// `edits` / `rollb` counters next to it).
 ///
 /// Column widths are measured from the rendered cells (numeric columns
-/// right-aligned), so large `par_ns` sums widen their column instead of
+/// right-aligned), so large timing sums widen their column instead of
 /// overflowing it.
 fn phases_table(model: &CostModel, cfg: &DbdsConfig) -> String {
     use dbds_workloads::Suite;
@@ -289,14 +274,12 @@ fn phases_table(model: &CostModel, cfg: &DbdsConfig) -> String {
     let _ = writeln!(
         out,
         "DBDS phase breakdown (per suite, sums over all benchmarks; \
-         sim_threads = {}, unit_threads = {})\n",
-        cfg.sim_threads, cfg.unit_threads
+         unit_threads = {})\n",
+        cfg.unit_threads
     );
     let header = [
         "suite",
         "simulate",
-        "dst pool",
-        "price pool",
         "duplicate",
         "optimize",
         "unit pool",
@@ -315,8 +298,6 @@ fn phases_table(model: &CostModel, cfg: &DbdsConfig) -> String {
             compile(&mut g, model, OptLevel::Dbds, &plan.per_unit)
         });
         let mut sim = 0u128;
-        let mut par = 0u128;
-        let mut price = 0u128;
         let mut tr = 0u128;
         let mut opt = 0u128;
         let mut undo = 0u128;
@@ -325,8 +306,6 @@ fn phases_table(model: &CostModel, cfg: &DbdsConfig) -> String {
         let mut rollbacks = 0u64;
         for stats in &stats_list {
             sim += stats.sim_ns;
-            par += stats.par_ns;
-            price += stats.tradeoff_par_ns;
             tr += stats.transform_ns;
             opt += stats.opt_ns;
             undo += stats.undo_ns;
@@ -339,8 +318,6 @@ fn phases_table(model: &CostModel, cfg: &DbdsConfig) -> String {
         rows.push(vec![
             suite.id().to_string(),
             ms(sim),
-            ms(par),
-            ms(price),
             ms(tr),
             ms(opt),
             ms(unit_ns),

@@ -20,6 +20,8 @@
 //! cargo run -p dbds-harness --bin irtool -- prog.dbir --opt dbds --run 3,4,5
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dbds_core::{compile, simulate, DbdsConfig, OptLevel};
 use dbds_costmodel::CostModel;
 use dbds_ir::{execute, parse_module, print_graph, verify, Value};

@@ -14,6 +14,8 @@
 //! cargo run -p dbds-harness --bin validate_estimator --release
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dbds_analysis::AnalysisCache;
 use dbds_core::{compile, simulate, DbdsConfig, OptLevel, SelectionMode, TradeoffConfig};
 use dbds_costmodel::CostModel;

@@ -34,6 +34,7 @@
 //! assert!(m.code_size > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
@@ -49,7 +50,7 @@ mod stats;
 /// committed `BENCH_suite.json` must carry exactly this string (gated
 /// by `tests/report_roundtrip.rs`), so schema changes are deliberate:
 /// bump the tag here and regenerate the committed baseline together.
-pub const BENCH_SUITE_SCHEMA: &str = "dbds-bench-suite-v2";
+pub const BENCH_SUITE_SCHEMA: &str = "dbds-bench-suite-v3";
 
 pub use ablation::{format_split_ablation, run_split_ablation, AblationRow, SplitAblation};
 pub use lintaudit::{format_lint, format_lint_json, run_lint_audit, LintAudit};

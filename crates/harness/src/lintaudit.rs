@@ -81,9 +81,9 @@ impl LintAudit {
 /// 4. one more simulation over the final graph, with
 ///    [`lint_simulation`]'s cost-sanity checks over its estimates.
 pub fn run_lint_audit(suites: &[Suite], model: &CostModel, cfg: &DbdsConfig) -> LintAudit {
-    // One unit per workload, dispatched onto the shared 2-D scheduler
+    // One unit per workload, dispatched onto the unit pool
     // (`DbdsConfig::pool_plan`) and absorbed in submission order — the
-    // audit is byte-identical for every (unit, sim) split.
+    // audit is byte-identical at every worker count.
     let workloads: Vec<Workload> = suites.iter().flat_map(|s| s.workloads()).collect();
     let plan = cfg.pool_plan(workloads.len());
     let unit_cfg = &plan.per_unit;
@@ -157,7 +157,7 @@ pub fn format_lint(audit: &LintAudit) -> String {
 
 /// Renders the lint sweep as stable-ordered JSON (hand-rolled — the
 /// build has no serde). Unlike [`crate::format_json`] there is no
-/// `sim_threads` field at all: the sweep is byte-identical across
+/// `unit_threads` field at all: the sweep is byte-identical across
 /// thread counts, so CI diffs it without filtering.
 pub fn format_lint_json(audit: &LintAudit) -> String {
     let mut out = String::new();
@@ -201,25 +201,22 @@ mod tests {
     #[test]
     fn lint_report_is_byte_identical_across_runs_and_thread_counts() {
         let model = CostModel::new();
-        let run = |sim: usize, unit: usize| {
+        let run = |unit: usize| {
             let cfg = DbdsConfig {
-                sim_threads: sim,
                 unit_threads: unit,
                 ..DbdsConfig::default()
             };
             let audit = run_lint_audit(&[Suite::Micro], &model, &cfg);
             (format_lint(&audit), format_lint_json(&audit))
         };
-        let one = run(1, 1);
+        let one = run(1);
         // No strip step here on purpose: the lint report carries no
         // thread-count field at all, so whole-output equality must hold
-        // across the whole unit_threads × sim_threads matrix — the
-        // adaptive (0, 0) plan included.
-        for (sim, unit) in [(4, 1), (1, 4), (4, 4), (0, 0)] {
-            assert_eq!(one, run(sim, unit), "sim={sim} unit={unit}");
+        // at every unit-worker count — the adaptive 0 included.
+        for unit in [2, 4, 0] {
+            assert_eq!(one, run(unit), "unit={unit}");
         }
-        assert_eq!(run(4, 4), run(4, 4));
-        assert!(!one.1.contains("sim_threads"), "{}", one.1);
+        assert_eq!(run(4), run(4));
         assert!(!one.1.contains("unit_threads"), "{}", one.1);
     }
 

@@ -179,13 +179,12 @@ pub fn format_summary(results: &[SuiteResult]) -> String {
 ///
 /// Two invariants CI's determinism gate relies on:
 ///
-/// - **No timing fields.** `compile_ns`/`sim_ns`/`par_ns`/
-///   `tradeoff_par_ns`/`unit_par_ns`/`guard_ns`/`undo_ns` are excluded,
-///   so two runs over identical inputs produce byte-identical output.
-/// - **`sim_threads` and `unit_threads` each sit alone on their own
-///   line** (the only thread-count-dependent values), so reports taken
-///   at different thread counts can be diffed with those two lines
-///   filtered out.
+/// - **No timing fields.** `compile_ns`/`sim_ns`/`unit_par_ns`/
+///   `guard_ns`/`undo_ns` are excluded, so two runs over identical
+///   inputs produce byte-identical output.
+/// - **`unit_threads` sits alone on its own line** (the only
+///   thread-count-dependent value), so reports taken at different
+///   thread counts can be diffed with that line filtered out.
 ///
 /// When `store` carries the result of a compile-cache session
 /// (`figures --json --cache …`), the report embeds its per-pass and
@@ -195,13 +194,11 @@ pub fn format_summary(results: &[SuiteResult]) -> String {
 /// the schema is stable either way.
 pub fn format_json(
     results: &[SuiteResult],
-    sim_threads: usize,
     unit_threads: usize,
     store: Option<&SessionReport>,
 ) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "{{");
-    let _ = writeln!(out, "  \"sim_threads\": {sim_threads},");
     let _ = writeln!(out, "  \"unit_threads\": {unit_threads},");
     match store {
         None => {
@@ -492,34 +489,32 @@ mod tests {
     fn json_report_identical_across_thread_counts() {
         let model = CostModel::new();
         let ic = IcacheModel::default();
-        let run = |sim: usize, unit: usize| {
+        let run = |unit: usize| {
             let cfg = DbdsConfig {
-                sim_threads: sim,
                 unit_threads: unit,
                 ..DbdsConfig::default()
             };
             let results = vec![run_suite(Suite::Micro, &model, &cfg, &ic)];
-            format_json(&results, sim, unit, None)
+            format_json(&results, unit, None)
         };
         let strip = |s: &str| {
             s.lines()
-                .filter(|l| !l.contains("\"sim_threads\"") && !l.contains("\"unit_threads\""))
+                .filter(|l| !l.contains("\"unit_threads\""))
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        // The full unit_threads × sim_threads matrix — including the
-        // adaptive (0, 0) plan, whatever it resolves to here — must
-        // agree modulo the two header lines.
-        let one = run(1, 1);
-        for (sim, unit) in [(4, 1), (1, 4), (4, 4), (0, 0)] {
-            let other = run(sim, unit);
-            // Only the thread-count header lines may differ...
-            assert_ne!(one, other, "sim={sim} unit={unit}");
-            assert_eq!(strip(&one), strip(&other), "sim={sim} unit={unit}");
+        // Every unit-worker count — including the adaptive 0, whatever
+        // it resolves to here — must agree modulo the header line.
+        let one = run(1);
+        for unit in [2, 4, 0] {
+            let other = run(unit);
+            // Only the thread-count header line may differ...
+            assert_ne!(one, other, "unit={unit}");
+            assert_eq!(strip(&one), strip(&other), "unit={unit}");
         }
-        // ...and a rerun at the same counts is byte-identical (no timing
+        // ...and a rerun at the same count is byte-identical (no timing
         // leaks into the report).
-        assert_eq!(run(4, 4), run(4, 4));
+        assert_eq!(run(4), run(4));
         // Shape sanity: well-formed-ish JSON with all three configs.
         assert!(one.trim_start().starts_with('{') && one.trim_end().ends_with('}'));
         for level in ["baseline", "dbds", "dupalot"] {

@@ -72,13 +72,9 @@ pub struct SuiteResult {
     pub suite: Suite,
     /// One row per benchmark, in figure order.
     pub rows: Vec<BenchmarkRow>,
-    /// The resolved unit-worker count of the 2-D scheduler the suite
-    /// ran on. Purely observational — `rows` is identical for every
-    /// value.
+    /// The resolved worker count of the unit pool the suite ran on.
+    /// Purely observational — `rows` is identical for every value.
     pub unit_threads: usize,
-    /// The resolved reserved sim-worker (steal-helper) count of the
-    /// scheduler. Observational, like `unit_threads`.
-    pub sim_workers: usize,
     /// Wall-clock nanoseconds of the unit fan-out. Timing only, never
     /// part of the deterministic reports.
     pub unit_par_ns: u128,
@@ -191,24 +187,23 @@ pub fn run_benchmark(
 }
 
 /// Runs `f(index, &units[index])` over every unit on the
-/// `dbds_core::par` 2-D scheduler described by `plan` and returns the
-/// results in submission (index) order — execution order (including
-/// stealing) never leaks into the output — plus the per-worker loads
-/// and the wall-clock nanoseconds of the fan-out.
+/// `dbds_core::par` pool described by `plan` and returns the results in
+/// submission (index) order — execution order never leaks into the
+/// output — plus the per-worker loads and the wall-clock nanoseconds of
+/// the fan-out.
 ///
 /// This is the harness's unit-level compilation queue: `run_suite`, the
 /// lint sweep, the phase table and the fault sweep all dispatch their
-/// independent per-unit work through it. Callers should compile each
-/// unit with `plan.per_unit` so the inner tiers publish to the shared
-/// scheduler instead of spawning nested pools. With one unit worker and
-/// no sim workers everything runs inline on the calling thread in index
-/// order, so the sequential path is the same code.
+/// independent per-unit work through it, compiling each unit with
+/// `plan.per_unit`. With one worker everything runs inline on the
+/// calling thread in index order, so the sequential path is the same
+/// code.
 pub fn run_units<I: Sync, T: Send>(
     plan: &PoolPlan,
     units: &[I],
     f: impl Fn(usize, &I) -> T + Sync,
 ) -> (Vec<T>, Vec<WorkerLoad>, u128) {
-    par::run_units(plan.unit_workers, plan.sim_workers, units, f)
+    par::run_units(plan.unit_workers, units, f)
 }
 
 /// Runs a whole suite: every `(workload, configuration)` pair is one
@@ -254,7 +249,6 @@ pub fn run_suite(
         suite,
         rows,
         unit_threads: plan.unit_workers,
-        sim_workers: plan.sim_workers,
         unit_par_ns,
         unit_loads,
     }

@@ -25,7 +25,7 @@ fn micro_report(session: Option<&SessionReport>) -> String {
         &cfg,
         &IcacheModel::default(),
     )];
-    format_json(&results, cfg.sim_threads, cfg.unit_threads, session)
+    format_json(&results, cfg.unit_threads, session)
 }
 
 fn mem_session(unit_threads: usize) -> SessionReport {
@@ -109,13 +109,11 @@ fn committed_bench_baseline_matches_schema_const() {
         Some(BENCH_SUITE_SCHEMA),
         "committed baseline schema drifted from BENCH_SUITE_SCHEMA"
     );
-    // v2: the sweep records the winning scheduler split. The requested
-    // values may be 0 (adaptive), but the resolved worker counts are
-    // what the machine actually ran.
-    let chosen = tree
-        .get("chosen")
-        .expect("v2 baseline lacks a chosen block");
-    for key in ["unit_threads", "sim_threads", "wall_ms"] {
+    // The sweep records the winning unit-pool width. The requested value
+    // may be 0 (adaptive), but the resolved worker count is what the
+    // machine actually ran.
+    let chosen = tree.get("chosen").expect("baseline lacks a chosen block");
+    for key in ["unit_threads", "wall_ms"] {
         assert!(chosen.get(key).is_some(), "chosen block lacks {key}");
     }
     let workers = |key: &str| {
@@ -128,5 +126,4 @@ fn committed_bench_baseline_matches_schema_const() {
         workers("unit_workers") >= 1,
         "chosen plan has no unit worker"
     );
-    let _ = workers("sim_workers");
 }

@@ -52,6 +52,7 @@
 //! # Ok::<(), dbds_ir::ParseError>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]

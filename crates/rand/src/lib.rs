@@ -7,6 +7,7 @@
 //! and statistically fine for workload generation; no compatibility with
 //! upstream `rand` streams is promised or required).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 use std::ops::Range;

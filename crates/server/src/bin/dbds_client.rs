@@ -14,6 +14,8 @@
 //! hit/miss tallies — the scripted version of the cache-effectiveness
 //! experiment.
 
+#![forbid(unsafe_code)]
+
 use dbds_server::{level_from_name, Client, CompileOutcome, CompileRequest, CompileSource};
 use std::process::ExitCode;
 

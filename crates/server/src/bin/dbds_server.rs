@@ -8,9 +8,11 @@
 //!
 //! `ADDR` is `host:port` (TCP) or `unix:<path>`. The resolved address
 //! is printed as `listening on <addr>` once the daemon is accepting,
-//! so scripts can wait for readiness. Compilation thread counts honor
-//! `DBDS_SIM_THREADS` / `DBDS_UNIT_THREADS`; the dispatcher count
-//! honors `DBDS_DISPATCHERS` when the flag is absent.
+//! so scripts can wait for readiness. The compilation unit-pool width
+//! honors `DBDS_UNIT_THREADS`; the dispatcher count honors
+//! `DBDS_DISPATCHERS` when the flag is absent.
+
+#![forbid(unsafe_code)]
 
 use dbds_server::{serve, ServerConfig, StoreChoice};
 use std::process::ExitCode;

@@ -28,6 +28,8 @@
 //! cargo run --release -p dbds-server --features fault-injection --bin servsim [-- <seed>]
 //! ```
 
+#![forbid(unsafe_code)]
+
 use dbds_core::faultinject::{arm_store, disarm_store, StoreFaultPlan};
 use dbds_core::{DbdsConfig, OptLevel};
 use dbds_server::{

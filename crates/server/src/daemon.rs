@@ -23,9 +23,9 @@
 //! never overshoot `max_queue` (the old check-then-enqueue pattern
 //! could, between the load and the increment).
 
-use crate::json::Json;
+use crate::json::{self, Json};
 use crate::proto::{
-    error_json, read_frame, response_json, write_frame, FrameError, Request, PROTO_VERSION,
+    error_json, read_frame_text, response_json, write_frame, FrameError, Request, PROTO_VERSION,
 };
 use crate::service::{CompileService, ServiceConfig, ServiceError};
 use crate::store::{BoundedStore, CompiledStore, DiskStore, MemStore, StoreError, TieredStore};
@@ -141,8 +141,8 @@ pub struct ServerConfig {
     pub listen: String,
     /// Store backend.
     pub store: StoreChoice,
-    /// Compilation configuration (thread counts honor
-    /// `DBDS_SIM_THREADS` / `DBDS_UNIT_THREADS` via its default).
+    /// Compilation configuration (the unit-pool width honors
+    /// `DBDS_UNIT_THREADS` via its default).
     pub base_cfg: DbdsConfig,
     /// Store retry/backoff tuning.
     pub service: ServiceConfig,
@@ -462,12 +462,18 @@ fn write_response(stream: &mut Stream, v: &Json) -> bool {
 /// shard's dispatcher, answer status inline, relay replies.
 fn connection(mut stream: Stream, conn: &Conn) {
     loop {
-        let frame = match read_frame(&mut stream) {
-            Ok(Some(v)) => v,
+        let text = match read_frame_text(&mut stream) {
+            Ok(Some(text)) => text,
             Ok(None) => return, // client hung up
             Err(_) => return,
         };
-        let request = match Request::from_json(&frame) {
+        // A malformed payload (bad JSON, nesting past the parser's
+        // limit) was read whole, so the stream is still in sync: answer
+        // it like any other bad request.
+        let request = match json::parse(&text)
+            .map_err(|e| e.to_string())
+            .and_then(|frame| Request::from_json(&frame))
+        {
             Ok(r) => r,
             Err(msg) => {
                 if !write_response(&mut stream, &error_json(&ServiceError::BadRequest(msg))) {

@@ -203,15 +203,26 @@ pub fn escape(s: &str) -> String {
     out
 }
 
+/// The deepest array/object nesting [`parse`] accepts. The parser
+/// recurses once per level, so unbounded input (one frame of `[`s)
+/// would overflow the thread stack; the report and the wire protocol
+/// nest a handful of levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON value from `text` (trailing whitespace allowed,
 /// trailing garbage rejected).
 ///
 /// # Errors
 ///
-/// Returns a [`JsonError`] with the byte offset of the first problem.
+/// Returns a [`JsonError`] with the byte offset of the first problem,
+/// including arrays/objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, JsonError> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        bytes,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -224,6 +235,8 @@ pub fn parse(text: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -268,12 +281,27 @@ impl Parser<'_> {
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(c) => Err(self.err(format!("unexpected `{}`", c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        open: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let v = open(self);
+        self.depth -= 1;
+        v
     }
 
     fn number(&mut self) -> Result<Json, JsonError> {
@@ -447,6 +475,21 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_typed_error() {
+        // One 200 KB frame of `[` used to overflow the parsing thread's
+        // stack and abort the process.
+        let deep = "[".repeat(200_000);
+        let e = parse(&deep).expect_err("unterminated deep nesting");
+        assert_eq!(e.at, MAX_DEPTH, "{e}");
+        assert!(e.msg.contains("nesting"), "{e}");
+        // The limit is exact: MAX_DEPTH levels parse, one more does not.
+        let ok = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(parse(&ok).is_ok());
+        let over = "{\"a\":".repeat(MAX_DEPTH) + "[]" + &"}".repeat(MAX_DEPTH);
+        assert!(parse(&over).is_err());
+    }
+
+    #[test]
     fn object_key_order_is_preserved() {
         let text = r#"{"z":1,"a":[true,{"k":"v"}],"m":null}"#;
         assert_eq!(parse(text).unwrap().compact(), text);
@@ -455,7 +498,7 @@ mod tests {
     #[test]
     fn pretty_matches_report_style() {
         let v = Json::Obj(vec![
-            ("sim_threads".into(), Json::num(1)),
+            ("unit_threads".into(), Json::num(1)),
             (
                 "suites".into(),
                 Json::Arr(vec![Json::Obj(vec![("suite".into(), Json::str("micro"))])]),
@@ -463,7 +506,7 @@ mod tests {
         ]);
         assert_eq!(
             v.pretty(),
-            "{\n  \"sim_threads\": 1,\n  \"suites\": [\n    {\n      \"suite\": \"micro\"\n    }\n  ]\n}\n"
+            "{\n  \"unit_threads\": 1,\n  \"suites\": [\n    {\n      \"suite\": \"micro\"\n    }\n  ]\n}\n"
         );
         // Pretty output re-parses to the same tree.
         assert_eq!(parse(&v.pretty()).unwrap(), v);

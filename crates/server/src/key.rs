@@ -167,9 +167,9 @@ mod tests {
         let mut tweaked = cfg.clone();
         tweaked.tradeoff.benefit_scale = 128.0;
         assert_ne!(a, StoreKey::compute(&g, &tweaked, OptLevel::Dbds));
-        // Thread counts are result-invariant and must not split the cache.
+        // The unit-pool width is result-invariant and must not split the
+        // cache.
         let mut threads = cfg.clone();
-        threads.sim_threads = 8;
         threads.unit_threads = 8;
         assert_eq!(a, StoreKey::compute(&g, &threads, OptLevel::Dbds));
     }

@@ -269,6 +269,23 @@ pub fn write_frame(w: &mut impl Write, v: &Json) -> Result<(), FrameError> {
 /// Returns the underlying I/O error, an error for an oversized length
 /// prefix, or a parse error for a malformed payload.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Json>> {
+    let Some(text) = read_frame_text(r)? else {
+        return Ok(None);
+    };
+    parse(&text)
+        .map(Some)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// Reads one frame's payload as text without decoding it, so a server
+/// can answer a malformed payload on the still-intact stream; `Ok(None)`
+/// on clean EOF before the length prefix.
+///
+/// # Errors
+///
+/// Returns the underlying I/O error, or an error for an oversized
+/// length prefix or a payload that is not UTF-8.
+pub(crate) fn read_frame_text(r: &mut impl Read) -> std::io::Result<Option<String>> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
@@ -293,11 +310,9 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Json>> {
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    let text = String::from_utf8(payload)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame is not UTF-8"))?;
-    parse(&text)
+    String::from_utf8(payload)
         .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame is not UTF-8"))
 }
 
 #[cfg(test)]

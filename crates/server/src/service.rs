@@ -504,24 +504,18 @@ impl CompileService {
             }
         }
 
-        // Fresh compiles: fan out on the shared 2-D scheduler. Each
-        // unit carries its own config (deadlines differ per request);
-        // the pool plan still comes from the base config so
-        // `DBDS_UNIT_THREADS` / `DBDS_SIM_THREADS` apply, and each
-        // unit's inner tiers publish to the shared scheduler (forced
-        // nominal here, matching `PoolPlan::per_unit`).
+        // Fresh compiles: fan out on the unit pool. Each unit carries
+        // its own config (deadlines differ per request); the pool plan
+        // still comes from the base config so `DBDS_UNIT_THREADS`
+        // applies.
         let plan = self.base_cfg.pool_plan(misses.len());
         let model = &self.model;
         let (compiled, _loads, _ns) = dbds_core::par::run_units(
             plan.unit_workers,
-            plan.sim_workers,
             &misses,
             |_i, (_idx, graph, _key, cfg, level, _shard)| {
                 let mut g = graph.clone();
-                let mut unit_cfg = cfg.clone();
-                unit_cfg.unit_threads = 1;
-                unit_cfg.sim_threads = 1;
-                let stats = compile(&mut g, model, *level, &unit_cfg);
+                let stats = compile(&mut g, model, *level, cfg);
                 (g, stats)
             },
         );

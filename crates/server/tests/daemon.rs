@@ -226,3 +226,39 @@ fn disk_store_persists_across_daemon_restarts() {
     handle.join();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn deeply_nested_frame_is_a_bad_request_and_the_daemon_keeps_serving() {
+    use dbds_server::proto::{read_frame, write_frame};
+    use dbds_server::Request;
+    use std::io::Write;
+
+    let handle = serve(ServerConfig::default()).expect("serve");
+    let mut stream = std::net::TcpStream::connect(&handle.addr).expect("connect");
+    // One 200 KB frame of `[`: it used to overflow the connection
+    // thread's stack and abort the whole daemon.
+    let payload = vec![b'['; 200_000];
+    stream
+        .write_all(&(payload.len() as u32).to_be_bytes())
+        .expect("send length");
+    stream.write_all(&payload).expect("send payload");
+    let answer = read_frame(&mut stream)
+        .expect("read answer")
+        .expect("daemon answered");
+    assert_eq!(
+        answer.get("error").and_then(Json::as_str),
+        Some("bad-request")
+    );
+
+    // The same connection still speaks the protocol...
+    write_frame(&mut stream, &Request::Status.to_json()).expect("send status");
+    let status = read_frame(&mut stream)
+        .expect("read status")
+        .expect("status answered");
+    assert!(status.get("counters").is_some(), "{status:?}");
+    // ...and so does a fresh client.
+    let mut client = Client::connect(&handle.addr).expect("connect 2");
+    client.status().expect("status after the hostile frame");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
