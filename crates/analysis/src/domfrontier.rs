@@ -29,50 +29,63 @@ impl DomFrontiers {
     /// Computes both frontiers of `g` from its dominator and
     /// post-dominator trees.
     pub fn compute(g: &Graph, dt: &DomTree, pd: &PostDomTree) -> Self {
-        let n = g.block_count();
-        let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); n];
-        let mut pdf: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+        DomFrontiers {
+            df: Self::forward(g, dt),
+            pdf: Self::reverse(g, dt, pd),
+        }
+    }
 
+    /// The forward step alone: the dominance frontier of every block,
+    /// indexed by block. Callers that never read `pdf` use it to skip
+    /// the post-dominator tree.
+    pub fn forward(g: &Graph, dt: &DomTree) -> Vec<Vec<BlockId>> {
+        let mut df: Vec<Vec<BlockId>> = vec![Vec::new(); g.block_count()];
+        // Join blocks push themselves up each predecessor's idom chain.
         for &b in dt.reverse_postorder() {
-            // Forward frontier: join blocks push themselves up each
-            // predecessor's idom chain.
-            if g.preds(b).len() >= 2 {
-                let target = dt.idom(b);
-                for &p in g.preds(b) {
-                    if !dt.is_reachable(p) {
-                        continue;
-                    }
-                    let mut runner = Some(p);
-                    while runner != target {
-                        let Some(r) = runner else { break };
-                        df[r.index()].push(b);
-                        runner = dt.idom(r);
-                    }
-                }
+            if g.preds(b).len() < 2 {
+                continue;
             }
-            // Reverse frontier: split blocks push themselves up each
-            // successor's ipdom chain (`None` is the virtual exit).
-            if g.succs(b).len() >= 2 && pd.in_domain(b) {
-                let target = pd.ipdom(b);
-                for s in g.succs(b) {
-                    if !pd.in_domain(s) {
-                        continue;
-                    }
-                    let mut runner = Some(s);
-                    while runner != target {
-                        let Some(r) = runner else { break };
-                        pdf[r.index()].push(b);
-                        runner = pd.ipdom(r);
-                    }
+            let target = dt.idom(b);
+            for &p in g.preds(b) {
+                if !dt.is_reachable(p) {
+                    continue;
+                }
+                let mut runner = Some(p);
+                while runner != target {
+                    let Some(r) = runner else { break };
+                    df[r.index()].push(b);
+                    runner = dt.idom(r);
                 }
             }
         }
+        sort_sets(&mut df);
+        df
+    }
 
-        for set in df.iter_mut().chain(pdf.iter_mut()) {
-            set.sort_unstable();
-            set.dedup();
+    /// The reverse step: the post-dominance frontier of every reachable
+    /// block. Split blocks push themselves up each successor's ipdom
+    /// chain (`None` is the virtual exit).
+    fn reverse(g: &Graph, dt: &DomTree, pd: &PostDomTree) -> Vec<Vec<BlockId>> {
+        let mut pdf: Vec<Vec<BlockId>> = vec![Vec::new(); g.block_count()];
+        for &b in dt.reverse_postorder() {
+            if g.succs(b).len() < 2 || !pd.in_domain(b) {
+                continue;
+            }
+            let target = pd.ipdom(b);
+            for s in g.succs(b) {
+                if !pd.in_domain(s) {
+                    continue;
+                }
+                let mut runner = Some(s);
+                while runner != target {
+                    let Some(r) = runner else { break };
+                    pdf[r.index()].push(b);
+                    runner = pd.ipdom(r);
+                }
+            }
         }
-        DomFrontiers { df, pdf }
+        sort_sets(&mut pdf);
+        pdf
     }
 
     /// The dominance frontier of `b` (sorted, deduplicated).
@@ -83,6 +96,14 @@ impl DomFrontiers {
     /// The post-dominance frontier of `b` (sorted, deduplicated).
     pub fn pdf(&self, b: BlockId) -> &[BlockId] {
         &self.pdf[b.index()]
+    }
+}
+
+/// Sorts and deduplicates every frontier set.
+fn sort_sets(sets: &mut [Vec<BlockId>]) {
+    for set in sets {
+        set.sort_unstable();
+        set.dedup();
     }
 }
 

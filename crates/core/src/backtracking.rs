@@ -65,6 +65,7 @@ impl From<BacktrackStats> for PhaseStats {
             sim_ns: 0,
             transform_ns: 0,
             opt_ns: 0,
+            audit_ns: 0,
             guard_ns: 0,
             undo_edits: b.undo_edits,
             undo_rollbacks: b.undo_rollbacks,

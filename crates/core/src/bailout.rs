@@ -127,9 +127,13 @@ pub struct GuardConfig {
     /// Wall-clock deadline for the whole phase, measured from its start.
     /// `None` = no deadline.
     pub deadline: Option<Duration>,
-    /// Verify the graph after each applied duplication, keep rollback
-    /// snapshots, and isolate transform panics. Off restores the
-    /// pre-guardrail behavior: failures propagate as panics.
+    /// Verify the graph after each applied duplication, run it inside an
+    /// undo-log transaction, and isolate transform panics. A pure safety
+    /// toggle: when no check fails, the compiled graph and every
+    /// deterministic [`PhaseStats`](crate::PhaseStats) counter except the
+    /// undo-log ones are the same with it on or off (the prediction audit
+    /// runs either way). Off restores the pre-guardrail behavior:
+    /// failures propagate as panics.
     pub checkpoints: bool,
 }
 

@@ -19,7 +19,7 @@
 //! back on a violation.
 
 use crate::simulation::SimulationResult;
-use dbds_analysis::{DomFrontiers, DomTree, PostDomTree};
+use dbds_analysis::{DomFrontiers, DomTree};
 use dbds_ir::lint::{Diagnostic, LintId};
 use dbds_ir::{BlockId, Graph};
 
@@ -143,37 +143,38 @@ fn definition_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
 /// arises on hand-mutated graphs).
 pub fn lint_frontier(g: &Graph, copy: BlockId, merge: BlockId) -> Option<Diagnostic> {
     let dt = DomTree::compute(g);
-    let pd = PostDomTree::compute(g);
-    let df = DomFrontiers::compute(g, &dt, &pd);
     // An unreachable merge has an empty frontier by construction, not
     // by defect.
     if !dt.is_reachable(merge) {
         return None;
     }
+    // Only forward frontiers are compared, so no post-dominator tree.
+    let df = DomFrontiers::forward(g, &dt);
+    let df = |b: BlockId| &df[b.index()];
     for b in [copy, merge] {
         let reference = definition_frontier(g, &dt, b);
-        if reference != df.df(b) {
+        if reference != *df(b) {
             return Some(Diagnostic::new(
                 LintId::FrontierViolation,
                 Some(copy),
                 None,
                 format!(
                     "frontier-violation: {b} has dominance frontier {:?} but the edge mirrors say {:?}",
-                    df.df(b),
+                    df(b),
                     reference
                 ),
             ));
         }
     }
-    if !dt.dominates(copy, merge) && !dt.dominates(merge, copy) && df.df(copy) != df.df(merge) {
+    if !dt.dominates(copy, merge) && !dt.dominates(merge, copy) && df(copy) != df(merge) {
         return Some(Diagnostic::new(
             LintId::FrontierViolation,
             Some(copy),
             None,
             format!(
                 "frontier-violation: copy {copy} of {merge} has dominance frontier {:?} but the merge has {:?}",
-                df.df(copy),
-                df.df(merge)
+                df(copy),
+                df(merge)
             ),
         ));
     }

@@ -230,6 +230,11 @@ pub struct PhaseStats {
     /// Wall-clock nanoseconds spent in the optimization pipeline
     /// (pre-pass, per-iteration cleanup and final fixpoint).
     pub opt_ns: u128,
+    /// Wall-clock nanoseconds spent in the prediction audit, which
+    /// re-checks each accepted candidate's opportunities right before it
+    /// is applied. Kept out of `transform_ns` and `guard_ns`; timing
+    /// only.
+    pub audit_ns: u128,
     /// Wall-clock nanoseconds spent on guardrail bookkeeping (undo-log
     /// transactions, checkpoint verification, rollbacks) — kept out of
     /// `sim_ns` / `opt_ns` / `transform_ns` so those stay comparable to
@@ -498,6 +503,7 @@ pub fn run_dbds(
         let t = Instant::now();
         let mut guard_here: u128 = 0;
         let mut undo_here: u128 = 0;
+        let mut audit_here: u128 = 0;
         if checkpoints {
             // Refresh the recovery mark: everything up to here verified.
             let tg = Instant::now();
@@ -535,9 +541,11 @@ pub fn run_dbds(
             // tier contract violation) otherwise. The audit runs against a
             // local budget, so it never charges the phase's fuel, and
             // behind a panic guard: a panicking re-check skips the
-            // candidate as a recovered bailout.
-            if checkpoints && !s.opportunities.is_empty() {
-                let tg = Instant::now();
+            // candidate as a recovered bailout. It decides which
+            // candidates apply, so it runs whether or not checkpoints are
+            // on.
+            if !s.opportunities.is_empty() {
+                let ta = Instant::now();
                 let rerun = match isolate(|| audit_opportunities(g, model, cache, s)) {
                     Ok(rerun) => rerun,
                     Err(reason) => {
@@ -547,7 +555,7 @@ pub fn run_dbds(
                             candidate: Some((s.pred, s.merge)),
                             recovered: true,
                         });
-                        guard_here += tg.elapsed().as_nanos();
+                        audit_here += ta.elapsed().as_nanos();
                         continue;
                     }
                 };
@@ -580,10 +588,10 @@ pub fn run_dbds(
                     } else {
                         stats.mispredictions += missed;
                     }
-                    guard_here += tg.elapsed().as_nanos();
+                    audit_here += ta.elapsed().as_nanos();
                     continue;
                 }
-                guard_here += tg.elapsed().as_nanos();
+                audit_here += ta.elapsed().as_nanos();
             }
             match apply_chain(g, s, checkpoints, &mut guard_here, &mut undo_here) {
                 Ok(chain) => {
@@ -628,7 +636,11 @@ pub fn run_dbds(
                 }
             }
         }
-        stats.transform_ns += t.elapsed().as_nanos().saturating_sub(guard_here);
+        stats.transform_ns += t
+            .elapsed()
+            .as_nanos()
+            .saturating_sub(guard_here + audit_here);
+        stats.audit_ns += audit_here;
         stats.guard_ns += guard_here;
         stats.undo_ns += undo_here;
         if let Some(reason) = stopped {

@@ -18,7 +18,10 @@
 //! the worker moves on — a fault contained in one unit can never leak
 //! into a neighbor. Results are committed in submission order, so stdout
 //! is byte-identical for every thread count (CI compares the sequential
-//! and threaded sweeps with `cmp`).
+//! and threaded sweeps with `cmp`). The default-seed stdout is committed
+//! as `crates/harness/golden/faultsim.txt`, and CI `cmp`s the sweep
+//! against it too, so a change in what the guard detects cannot pass
+//! unnoticed.
 //!
 //! ```text
 //! cargo run --release -p dbds-harness --features fault-injection --bin faultsim [-- <seed>]

@@ -258,10 +258,13 @@ fn client_session(addr: &str) -> Result<(), String> {
 
 /// Per-tier compile-time breakdown of the DBDS phase (the paper's
 /// "timing statements … used throughout the compiler", §6.1): how the
-/// phase splits between simulation, the duplication transform and the
-/// optimization pipeline, per suite. Each suite's units run on the
-/// unit-level queue; `unit pool` is the wall clock of that fan-out and
-/// `undo` the undo-log transaction bookkeeping (with the deterministic
+/// phase splits between simulation, the duplication transform, the
+/// prediction audit, the guard layer (per-duplication verify and
+/// frontier check, undo-log transactions) and the optimization
+/// pipeline, per suite. The two share columns are taken over the sum of
+/// those five layers. Each suite's units run on the unit-level queue;
+/// `unit pool` is the wall clock of that fan-out and `undo` the undo-log
+/// transaction bookkeeping, a part of `guard` (with the deterministic
 /// `edits` / `rollb` counters next to it).
 ///
 /// Column widths are measured from the rendered cells (numeric columns
@@ -281,10 +284,13 @@ fn phases_table(model: &CostModel, cfg: &DbdsConfig) -> String {
         "suite",
         "simulate",
         "duplicate",
+        "audit",
+        "guard",
         "optimize",
         "unit pool",
         "undo",
         "sim share",
+        "guard share",
         "mispred",
         "edits",
         "rollb",
@@ -299,6 +305,8 @@ fn phases_table(model: &CostModel, cfg: &DbdsConfig) -> String {
         });
         let mut sim = 0u128;
         let mut tr = 0u128;
+        let mut audit = 0u128;
+        let mut guard = 0u128;
         let mut opt = 0u128;
         let mut undo = 0u128;
         let mut mispred = 0usize;
@@ -307,22 +315,28 @@ fn phases_table(model: &CostModel, cfg: &DbdsConfig) -> String {
         for stats in &stats_list {
             sim += stats.sim_ns;
             tr += stats.transform_ns;
+            audit += stats.audit_ns;
+            guard += stats.guard_ns;
             opt += stats.opt_ns;
             undo += stats.undo_ns;
             mispred += stats.mispredictions;
             edits += stats.undo_edits;
             rollbacks += stats.undo_rollbacks;
         }
-        let total = (sim + tr + opt).max(1);
+        let total = (sim + tr + audit + guard + opt).max(1);
         let ms = |ns: u128| format!("{:.2} ms", ns as f64 / 1e6);
+        let share = |ns: u128| format!("{:.1}%", ns as f64 / total as f64 * 100.0);
         rows.push(vec![
             suite.id().to_string(),
             ms(sim),
             ms(tr),
+            ms(audit),
+            ms(guard),
             ms(opt),
             ms(unit_ns),
             ms(undo),
-            format!("{:.1}%", sim as f64 / total as f64 * 100.0),
+            share(sim),
+            share(guard),
             mispred.to_string(),
             edits.to_string(),
             rollbacks.to_string(),

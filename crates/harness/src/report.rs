@@ -180,7 +180,7 @@ pub fn format_summary(results: &[SuiteResult]) -> String {
 /// Two invariants CI's determinism gate relies on:
 ///
 /// - **No timing fields.** `compile_ns`/`sim_ns`/`unit_par_ns`/
-///   `guard_ns`/`undo_ns` are excluded, so two runs over identical
+///   `audit_ns`/`guard_ns`/`undo_ns` are excluded, so two runs over identical
 ///   inputs produce byte-identical output.
 /// - **`unit_threads` sits alone on its own line** (the only
 ///   thread-count-dependent value), so reports taken at different

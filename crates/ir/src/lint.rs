@@ -19,9 +19,10 @@
 //!   byte-identical output.
 //!
 //! [`crate::verify`] is a thin wrapper over this module: it runs the
-//! default registry and reports the error-severity messages, so every
-//! existing call site (including the bailout checkpoint path) now runs
-//! the lint framework.
+//! built-in passes minus the warn-severity work and reports their
+//! messages, so every existing call site (including the bailout
+//! checkpoint path) runs the lint framework's error-severity checks
+//! without paying for the warn-severity ones.
 //!
 //! # Examples
 //!
@@ -45,7 +46,6 @@ use crate::ids::{BlockId, InstId};
 use crate::inst::{CmpOp, Inst, Terminator};
 use crate::types::{ConstValue, Type};
 use crate::Graph;
-use std::collections::HashMap;
 use std::fmt;
 
 /// How bad a [`Diagnostic`] is.
@@ -329,7 +329,7 @@ impl Default for LintRegistry {
                 Box::new(TypePass),
                 Box::new(DominancePass),
                 Box::new(HygienePass),
-                Box::new(ReverseCfgPass),
+                Box::new(ReverseCfgPass { warnings: true }),
             ],
         }
     }
@@ -339,6 +339,23 @@ impl LintRegistry {
     /// An empty registry (add passes with [`LintRegistry::register`]).
     pub fn new() -> Self {
         LintRegistry { passes: Vec::new() }
+    }
+
+    /// The built-in passes minus every warn-severity finding: the
+    /// hygiene pass is left out and the reverse-CFG pass skips
+    /// [`LintId::NoExitPath`]. Its report equals the error-severity part
+    /// of [`LintRegistry::default`]'s, which is all [`crate::verify`]
+    /// reads.
+    pub(crate) fn errors_only() -> Self {
+        LintRegistry {
+            passes: vec![
+                Box::new(EdgePass),
+                Box::new(BlockPass),
+                Box::new(TypePass),
+                Box::new(DominancePass),
+                Box::new(ReverseCfgPass { warnings: false }),
+            ],
+        }
     }
 
     /// Appends a pass to the run order.
@@ -838,11 +855,14 @@ impl LintPass for DominancePass {
     fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
         let mut s = Sink { out };
         let dom = SimpleDomTree::compute(g);
-        // Position of each instruction within its block for same-block checks.
-        let mut pos: HashMap<InstId, usize> = HashMap::new();
+        // Position of each instruction within its block for same-block
+        // checks (`usize::MAX` for instructions no block lists).
+        let mut pos = vec![usize::MAX; g.inst_count()];
         for b in g.blocks() {
             for (k, &i) in g.block_insts(b).iter().enumerate() {
-                pos.insert(i, k);
+                if let Some(p) = pos.get_mut(i.index()) {
+                    *p = k;
+                }
             }
         }
         let available_at_end = |v: InstId, b: BlockId| {
@@ -859,7 +879,7 @@ impl LintPass for DominancePass {
                 return false;
             }
             match g.block_of(v) {
-                Some(db) if db == b => pos.get(&v).is_some_and(|&p| p < use_pos),
+                Some(db) if db == b => pos[v.index()] < use_pos,
                 Some(db) => dom.dominates(db, b),
                 None => false,
             }
@@ -868,8 +888,7 @@ impl LintPass for DominancePass {
             for (k, &i) in g.block_insts(b).iter().enumerate() {
                 match g.inst(i) {
                     Inst::Phi { inputs } => {
-                        let preds = g.preds(b).to_vec();
-                        for (input, &pred) in inputs.iter().zip(preds.iter()) {
+                        for (input, &pred) in inputs.iter().zip(g.preds(b)) {
                             if !available_at_end(*input, pred) {
                                 s.emit(
                                     LintId::SsaDominance,
@@ -1004,7 +1023,10 @@ impl LintPass for HygienePass {
 /// graph) live in `dbds-analysis`; this pass reimplements just enough on
 /// a [`SimplePostDom`] to stay dependency-cycle-free, mirroring how
 /// [`DominancePass`] relates to the cached `DomTree`.
-struct ReverseCfgPass;
+struct ReverseCfgPass {
+    /// Whether to emit the warn-severity [`LintId::NoExitPath`].
+    warnings: bool,
+}
 
 impl LintPass for ReverseCfgPass {
     fn name(&self) -> &'static str {
@@ -1035,14 +1057,16 @@ impl LintPass for ReverseCfgPass {
                 }
             }
         }
-        for b in g.blocks() {
-            if reachable[b.index()] && !reaches_exit[b.index()] {
-                s.emit(
-                    LintId::NoExitPath,
-                    Some(b),
-                    None,
-                    format!("reachable {b} has no path to any exit block"),
-                );
+        if self.warnings {
+            for b in g.blocks() {
+                if reachable[b.index()] && !reaches_exit[b.index()] {
+                    s.emit(
+                        LintId::NoExitPath,
+                        Some(b),
+                        None,
+                        format!("reachable {b} has no path to any exit block"),
+                    );
+                }
             }
         }
 
@@ -1052,7 +1076,9 @@ impl LintPass for ReverseCfgPass {
         // profile the whole trade-off tier prices with. The chain walk is
         // Ferrante's: everything from the dead successor up to (exclusive)
         // the branch's immediate post-dominator is decided by that edge.
-        let pd = SimplePostDom::compute(g, &reaches_exit);
+        // Only a branch with probability exactly 0 or 1 has a dead edge,
+        // so the post-dominator tree is built on the first one found.
+        let mut pd: Option<SimplePostDom> = None;
         for a in g.blocks() {
             if !reaches_exit[a.index()] {
                 continue;
@@ -1074,6 +1100,7 @@ impl LintPass for ReverseCfgPass {
                 None
             };
             let Some(dead) = dead_succ else { continue };
+            let pd = &*pd.get_or_insert_with(|| SimplePostDom::compute(g, &reaches_exit));
             let target = pd.ipdom(a);
             let mut runner = Some(dead);
             while runner != target {
@@ -1218,10 +1245,19 @@ impl SimplePostDom {
 /// A minimal dominator tree used only by the lint passes. The
 /// full-featured analysis (queries, children, traversal) lives in
 /// `dbds-analysis`; this one avoids a dependency cycle.
+///
+/// Every block of the tree owns the preorder interval
+/// `[pre, pre + size)` of its dominator subtree, so
+/// [`SimpleDomTree::dominates`] is two comparisons, like the O(1) query
+/// of `dbds_analysis::DomTree`.
 struct SimpleDomTree {
     idom: Vec<Option<BlockId>>,
     rpo_index: Vec<usize>,
     rpo: Vec<BlockId>,
+    /// Dominator-tree preorder number (`usize::MAX` outside the tree).
+    pre: Vec<usize>,
+    /// Number of blocks in the dominator subtree.
+    size: Vec<usize>,
 }
 
 impl SimpleDomTree {
@@ -1277,10 +1313,46 @@ impl SimpleDomTree {
                 }
             }
         }
+
+        // Preorder intervals. A tree parent must precede its child in
+        // reverse postorder; that holds for every reachable block unless
+        // the pred and succ lists disagree, and a block whose idom chain
+        // breaks it stays outside the tree (its queries walk the chain).
+        // Subtree sizes accumulate bottom-up over the reversed order, and
+        // each parent hands its children consecutive slots after its own.
+        let parent = |b: BlockId| match idom[b.index()] {
+            Some(p) if rpo_index[p.index()] < rpo_index[b.index()] => Some(p),
+            _ => None,
+        };
+        let mut in_tree = vec![false; n];
+        in_tree[g.entry().index()] = true;
+        for &b in rpo.iter().skip(1) {
+            in_tree[b.index()] = parent(b).is_some_and(|p| in_tree[p.index()]);
+        }
+        let mut size = vec![0; n];
+        for &b in rpo.iter().rev().filter(|b| in_tree[b.index()]) {
+            size[b.index()] += 1;
+            if let Some(p) = parent(b) {
+                size[p.index()] += size[b.index()];
+            }
+        }
+        let mut pre = vec![usize::MAX; n];
+        let mut next_slot = vec![0; n];
+        for &b in rpo.iter().filter(|b| in_tree[b.index()]) {
+            let slot = parent(b).map_or(0, |p| {
+                let slot = next_slot[p.index()];
+                next_slot[p.index()] += size[b.index()];
+                slot
+            });
+            pre[b.index()] = slot;
+            next_slot[b.index()] = slot + 1;
+        }
         SimpleDomTree {
             idom,
             rpo_index,
             rpo,
+            pre,
+            size,
         }
     }
 
@@ -1300,6 +1372,21 @@ impl SimpleDomTree {
     /// Does `a` dominate `b`? Blocks unreachable from entry dominate
     /// nothing and are dominated by nothing.
     fn dominates(&self, a: BlockId, b: BlockId) -> bool {
+        if self.rpo_index[a.index()] == usize::MAX || self.rpo_index[b.index()] == usize::MAX {
+            return false;
+        }
+        let (pa, pb) = (self.pre[a.index()], self.pre[b.index()]);
+        if pb == usize::MAX {
+            return self.dominates_by_walk(a, b);
+        }
+        // Every ancestor of a tree block is in the tree, so `a` outside
+        // it (`pa == usize::MAX`) dominates nothing here.
+        pa <= pb && pb < pa + self.size[a.index()]
+    }
+
+    /// [`SimpleDomTree::dominates`] by walking `b`'s idom chain: the
+    /// answer for blocks outside the preorder numbering.
+    fn dominates_by_walk(&self, a: BlockId, b: BlockId) -> bool {
         if self.rpo_index[a.index()] == usize::MAX || self.rpo_index[b.index()] == usize::MAX {
             return false;
         }
@@ -1460,6 +1547,77 @@ mod tests {
         let report = lint(&diamond());
         assert_eq!(report.count_of(LintId::ControlDepViolation), 0);
         assert_eq!(report.count_of(LintId::NoExitPath), 0);
+    }
+
+    /// A random CFG over `n` blocks, built from a small LCG: returns,
+    /// jumps and branches to arbitrary blocks, so back edges (loops),
+    /// edges into the entry and blocks no path reaches all occur.
+    fn random_cfg(seed: u64, n: usize) -> Graph {
+        let mut state = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        let mut g = Graph::new("r", &[Type::Bool], empty_table());
+        let cond = g.param_values()[0];
+        let blocks: Vec<BlockId> = std::iter::once(g.entry())
+            .chain((1..n).map(|_| g.add_block()))
+            .collect();
+        for &b in &blocks {
+            let term = match next(4) {
+                0 => Terminator::Return { value: None },
+                1 => Terminator::Jump {
+                    target: blocks[next(n)],
+                },
+                _ => {
+                    let then_bb = blocks[next(n)];
+                    let else_bb = blocks[(then_bb.index() + 1 + next(n - 1)) % n];
+                    Terminator::Branch {
+                        cond,
+                        then_bb,
+                        else_bb,
+                        prob_then: 0.5,
+                    }
+                }
+            };
+            g.set_terminator(b, term);
+        }
+        g
+    }
+
+    #[test]
+    fn interval_dominance_agrees_with_the_idom_chain_walk() {
+        let (mut loops, mut unreachable) = (0, 0);
+        for seed in 0..300 {
+            let g = random_cfg(seed, 2 + seed as usize % 14);
+            let dom = SimpleDomTree::compute(&g);
+            for a in g.blocks() {
+                if dom.rpo_index[a.index()] == usize::MAX {
+                    unreachable += 1;
+                    continue;
+                }
+                // Pred and succ lists agree here, so every reachable
+                // block is answered from its interval, not the fallback.
+                assert_ne!(dom.pre[a.index()], usize::MAX, "seed {seed}: {a}");
+                loops += g
+                    .succs(a)
+                    .iter()
+                    .filter(|&&s| dom.rpo_index[s.index()] <= dom.rpo_index[a.index()])
+                    .count();
+            }
+            for a in g.blocks() {
+                for b in g.blocks() {
+                    assert_eq!(
+                        dom.dominates(a, b),
+                        dom.dominates_by_walk(a, b),
+                        "seed {seed}: does {a} dominate {b}?\n{g}"
+                    );
+                }
+            }
+        }
+        assert!(loops > 0 && unreachable > 0, "generator must produce both");
     }
 
     #[test]

@@ -4,17 +4,18 @@
 //! placement and arity, type correctness) and the SSA dominance property
 //! (every use is dominated by its definition). Every transformation in the
 //! workspace is validated against it in tests, and the DBDS optimization
-//! tier re-verifies graphs after each duplication in debug builds.
+//! tier re-verifies the graph after each applied duplication.
 //!
 //! Since the lint framework landed, [`verify`] is a thin wrapper over
-//! [`crate::lint`]: it runs the default [`LintRegistry`](crate::lint::LintRegistry)
-//! and reports the error-severity diagnostics as a flat [`VerifyErrors`],
-//! so every existing call site (tests, the bailout checkpoint path, the
-//! debug re-verification after duplication) transparently runs the full
-//! structured suite. Warn-severity hygiene findings do not fail
-//! verification; consume [`crate::lint::lint`] directly to see them.
+//! [`crate::lint`]: it runs the built-in passes minus the warn-severity
+//! work and reports their diagnostics as a flat [`VerifyErrors`], so
+//! every existing call site (tests, the bailout checkpoint path, the
+//! re-verification after each duplication) runs every error-severity
+//! check of the structured suite. Warn-severity hygiene findings do not
+//! fail verification, so they are not computed here; consume
+//! [`crate::lint::lint`] directly to see them.
 
-use crate::lint::{lint, Severity};
+use crate::lint::LintRegistry;
 use crate::Graph;
 use std::error::Error;
 use std::fmt;
@@ -62,13 +63,13 @@ impl Error for VerifyErrors {}
 /// Returns a [`VerifyErrors`] describing every violated invariant. An `Ok`
 /// result means the graph is structurally sound, type-correct and in valid
 /// SSA form. Problems arrive in the lint report's deterministic
-/// (block, instruction, lint) order.
+/// (block, instruction, lint) order: they are the messages of
+/// `lint(g).errors()`.
 pub fn verify(g: &Graph) -> Result<(), VerifyErrors> {
-    let report = lint(g);
+    let report = LintRegistry::errors_only().run(g);
     let problems: Vec<String> = report
         .diagnostics()
         .iter()
-        .filter(|d| d.severity == Severity::Error)
         .map(|d| d.message.clone())
         .collect();
     if problems.is_empty() {
@@ -260,6 +261,39 @@ mod tests {
             inputs[1] = inc;
         }
         verify(&g).unwrap();
+    }
+
+    #[test]
+    fn certain_branch_with_code_on_its_dead_edge_fails_verify() {
+        // A branch with probability exactly 1.0 makes its else edge dead,
+        // so `verify` must build the post-dominator tree and report the
+        // code on that edge.
+        let mut b = GraphBuilder::new("certain", &[Type::Int], empty_table());
+        let x = b.param(0);
+        let zero = b.iconst(0);
+        let c = b.cmp(CmpOp::Gt, x, zero);
+        let (bt, bf, bm) = (b.new_block(), b.new_block(), b.new_block());
+        b.branch(c, bt, bf, 1.0);
+        b.switch_to(bt);
+        b.jump(bm);
+        b.switch_to(bf);
+        let y = b.add(x, x);
+        b.jump(bm);
+        b.switch_to(bm);
+        let phi = b.phi(vec![zero, y], Type::Int);
+        b.ret(Some(phi));
+        let g = b.finish();
+        let report = crate::lint::lint(&g);
+        assert_eq!(report.count_of(crate::LintId::ControlDepViolation), 1);
+        let errs = verify(&g).unwrap_err();
+        assert_eq!(
+            errs.problems,
+            vec![format!(
+                "{bf} is control dependent on the never-taken edge {} -> {bf} \
+                 (probability 1 branch)",
+                g.entry()
+            )]
+        );
     }
 
     #[test]

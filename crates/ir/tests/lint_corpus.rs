@@ -7,6 +7,10 @@
 //! `dbds-core`'s `lint_simulation` tests, `Misprediction` in
 //! `dbds-core`'s prediction-audit tests, and `FrontierViolation` in
 //! `dbds-core`'s post-duplication frontier-check tests.
+//!
+//! The same corpus pins `verify` to the lint report: `verify` skips the
+//! warn-severity work, and its problems must still be exactly the
+//! messages of `lint(g).errors()`, in order.
 
 use dbds_ir::{
     lint, BinOp, ClassTable, CmpOp, ConstValue, Graph, GraphBuilder, Inst, InstId, LintId,
@@ -55,47 +59,68 @@ fn clean_diamond_is_clean() {
     assert!(report.is_clean(), "{report}");
 }
 
-#[test]
-fn graph_consistency_fires_on_entry_with_predecessors() {
+/// Retargets bt's jump to the entry block: entry gains a predecessor.
+fn entry_with_predecessors() -> Graph {
     let mut g = diamond();
-    // Retarget bt's jump to the entry block: entry gains a predecessor.
     let bt = g.blocks().nth(1).expect("bt exists");
     g.set_terminator(bt, Terminator::Jump { target: g.entry() });
-    expect_lint(&lint(&g), LintId::GraphConsistency);
+    g
 }
 
 #[test]
+fn graph_consistency_fires_on_entry_with_predecessors() {
+    expect_lint(&lint(&entry_with_predecessors()), LintId::GraphConsistency);
+}
+
+/// The diamond with its branch probability set to `prob`.
+fn diamond_with_probability(prob: f64) -> Graph {
+    let mut g = diamond();
+    g.set_branch_probability(g.entry(), prob);
+    g
+}
+
+const BAD_PROBABILITIES: [f64; 3] = [2.0, -0.5, f64::NAN];
+
+#[test]
 fn branch_probability_fires_outside_unit_interval() {
-    for bad in [2.0, -0.5, f64::NAN] {
-        let mut g = diamond();
-        g.set_branch_probability(g.entry(), bad);
-        expect_lint(&lint(&g), LintId::BranchProbability);
+    for bad in BAD_PROBABILITIES {
+        expect_lint(
+            &lint(&diamond_with_probability(bad)),
+            LintId::BranchProbability,
+        );
     }
+}
+
+/// Drops one φ input behind the builder's back: one input left, two
+/// predecessors.
+fn phi_arity_mismatch() -> Graph {
+    let mut g = diamond();
+    let bm = g.blocks().nth(3).expect("bm exists");
+    let phi = g.phis(bm)[0];
+    if let Inst::Phi { inputs } = g.inst_mut(phi) {
+        inputs.pop();
+    }
+    g
 }
 
 #[test]
 fn phi_placement_fires_on_arity_mismatch() {
+    expect_lint(&lint(&phi_arity_mismatch()), LintId::PhiPlacement);
+}
+
+fn param_outside_entry() -> Graph {
     let mut g = diamond();
-    let bm = g.blocks().nth(3).expect("bm exists");
-    let phi = g.phis(bm)[0];
-    // Drop one input behind the builder's back: one input left, two
-    // predecessors.
-    if let Inst::Phi { inputs } = g.inst_mut(phi) {
-        inputs.pop();
-    }
-    expect_lint(&lint(&g), LintId::PhiPlacement);
+    let bt = g.blocks().nth(1).expect("bt exists");
+    g.append_inst(bt, Inst::Param(0), Type::Int);
+    g
 }
 
 #[test]
 fn param_placement_fires_outside_entry() {
-    let mut g = diamond();
-    let bt = g.blocks().nth(1).expect("bt exists");
-    g.append_inst(bt, Inst::Param(0), Type::Int);
-    expect_lint(&lint(&g), LintId::ParamPlacement);
+    expect_lint(&lint(&param_outside_entry()), LintId::ParamPlacement);
 }
 
-#[test]
-fn dangling_use_fires_on_out_of_range_operand() {
+fn out_of_range_operand() -> Graph {
     let mut g = diamond();
     let e = g.entry();
     g.append_inst(
@@ -107,11 +132,15 @@ fn dangling_use_fires_on_out_of_range_operand() {
         },
         Type::Int,
     );
-    expect_lint(&lint(&g), LintId::DanglingUse);
+    g
 }
 
 #[test]
-fn type_error_fires_on_boolean_arithmetic() {
+fn dangling_use_fires_on_out_of_range_operand() {
+    expect_lint(&lint(&out_of_range_operand()), LintId::DanglingUse);
+}
+
+fn boolean_arithmetic() -> Graph {
     let mut g = Graph::new("t", &[Type::Bool], empty_table());
     let e = g.entry();
     let p = g.param_values()[0];
@@ -125,11 +154,15 @@ fn type_error_fires_on_boolean_arithmetic() {
         Type::Int,
     );
     g.set_terminator(e, Terminator::Return { value: Some(bad) });
-    expect_lint(&lint(&g), LintId::TypeError);
+    g
 }
 
 #[test]
-fn ssa_dominance_fires_on_use_before_def() {
+fn type_error_fires_on_boolean_arithmetic() {
+    expect_lint(&lint(&boolean_arithmetic()), LintId::TypeError);
+}
+
+fn use_before_def() -> Graph {
     let mut g = Graph::new("u", &[], empty_table());
     let e = g.entry();
     let c1 = g.append_inst(e, Inst::Const(ConstValue::Int(1)), Type::Int);
@@ -145,23 +178,32 @@ fn ssa_dominance_fires_on_use_before_def() {
     );
     let _c2 = g.append_inst(e, Inst::Const(ConstValue::Int(2)), Type::Int);
     g.set_terminator(e, Terminator::Return { value: Some(add) });
-    expect_lint(&lint(&g), LintId::SsaDominance);
+    g
 }
 
 #[test]
-fn unreachable_block_fires_on_orphan_with_instructions() {
+fn ssa_dominance_fires_on_use_before_def() {
+    expect_lint(&lint(&use_before_def()), LintId::SsaDominance);
+}
+
+/// The diamond plus an unreachable block that still holds code.
+fn orphan_with_instructions() -> Graph {
     let mut g = diamond();
     let orphan = g.add_block();
     let c = g.append_inst(orphan, Inst::Const(ConstValue::Int(7)), Type::Int);
     g.set_terminator(orphan, Terminator::Return { value: Some(c) });
-    let report = lint(&g);
+    g
+}
+
+#[test]
+fn unreachable_block_fires_on_orphan_with_instructions() {
+    let report = lint(&orphan_with_instructions());
     expect_lint(&report, LintId::UnreachableBlock);
     // Hygiene only: the graph still verifies.
     assert_eq!(report.error_count(), 0, "{report}");
 }
 
-#[test]
-fn trivial_phi_fires_when_every_input_agrees() {
+fn trivial_phi() -> Graph {
     let mut b = GraphBuilder::new("tp", &[Type::Int], empty_table());
     let x = b.param(0);
     let zero = b.iconst(0);
@@ -175,16 +217,20 @@ fn trivial_phi_fires_when_every_input_agrees() {
     b.switch_to(bm);
     let phi = b.phi(vec![x, x], Type::Int); // both edges deliver x
     b.ret(Some(phi));
-    let report = lint(&b.finish());
+    b.finish()
+}
+
+#[test]
+fn trivial_phi_fires_when_every_input_agrees() {
+    let report = lint(&trivial_phi());
     expect_lint(&report, LintId::TrivialPhi);
     assert_eq!(report.error_count(), 0, "{report}");
 }
 
-#[test]
-fn critical_edge_fires_on_branch_into_merge() {
-    // entry branches to bt and directly to bm; bt falls through to bm,
-    // so the entry→bm edge leaves a multi-successor block and enters a
-    // multi-predecessor block: a critical edge.
+/// entry branches to bt and directly to bm; bt falls through to bm, so
+/// the entry→bm edge leaves a multi-successor block and enters a
+/// multi-predecessor block: a critical edge.
+fn critical_edge() -> Graph {
     let mut b = GraphBuilder::new("ce", &[Type::Int], empty_table());
     let x = b.param(0);
     let zero = b.iconst(0);
@@ -196,14 +242,18 @@ fn critical_edge_fires_on_branch_into_merge() {
     b.switch_to(bm);
     let phi = b.phi(vec![zero, x], Type::Int);
     b.ret(Some(phi));
-    let report = lint(&b.finish());
+    b.finish()
+}
+
+#[test]
+fn critical_edge_fires_on_branch_into_merge() {
+    let report = lint(&critical_edge());
     expect_lint(&report, LintId::CriticalEdge);
     assert_eq!(report.error_count(), 0, "{report}");
 }
 
-#[test]
-fn no_exit_path_fires_on_an_infinite_region() {
-    // entry → {spin, done}; spin never reaches a return.
+/// entry → {spin, done}; spin never reaches a return.
+fn infinite_region() -> Graph {
     let mut b = GraphBuilder::new("inf", &[Type::Bool], empty_table());
     let c = b.param(0);
     let spin = b.new_block();
@@ -213,16 +263,20 @@ fn no_exit_path_fires_on_an_infinite_region() {
     b.jump(spin);
     b.switch_to(done);
     b.ret(None);
-    let report = lint(&b.finish());
+    b.finish()
+}
+
+#[test]
+fn no_exit_path_fires_on_an_infinite_region() {
+    let report = lint(&infinite_region());
     expect_lint(&report, LintId::NoExitPath);
     assert_eq!(report.error_count(), 0, "{report}");
 }
 
-#[test]
-fn control_dep_violation_fires_on_never_taken_dependent_code() {
-    // bt holds an instruction but is control dependent on an edge whose
-    // probability is exactly 0: the profile and the control-dependence
-    // structure contradict each other.
+/// bt holds an instruction but is control dependent on an edge whose
+/// probability is exactly 0: the profile and the control-dependence
+/// structure contradict each other.
+fn never_taken_dependent_code() -> Graph {
     let mut b = GraphBuilder::new("cd", &[Type::Int], empty_table());
     let x = b.param(0);
     let zero = b.iconst(0);
@@ -237,7 +291,15 @@ fn control_dep_violation_fires_on_never_taken_dependent_code() {
     b.switch_to(bm);
     let phi = b.phi(vec![y, zero], Type::Int);
     b.ret(Some(phi));
-    expect_lint(&lint(&b.finish()), LintId::ControlDepViolation);
+    b.finish()
+}
+
+#[test]
+fn control_dep_violation_fires_on_never_taken_dependent_code() {
+    expect_lint(
+        &lint(&never_taken_dependent_code()),
+        LintId::ControlDepViolation,
+    );
 }
 
 #[test]
@@ -252,11 +314,87 @@ fn hygiene_lints_are_warnings_and_do_not_fail_verify() {
         assert_eq!(warn_only.severity(), Severity::Warn);
     }
     // A graph with only hygiene findings still passes verify().
-    let mut g = diamond();
-    let orphan = g.add_block();
-    let c = g.append_inst(orphan, Inst::Const(ConstValue::Int(7)), Type::Int);
-    g.set_terminator(orphan, Terminator::Return { value: Some(c) });
-    dbds_ir::verify(&g).expect("warn-severity findings must not fail verification");
+    dbds_ir::verify(&orphan_with_instructions())
+        .expect("warn-severity findings must not fail verification");
+}
+
+/// Every graph above, clean and broken alike.
+fn corpus() -> Vec<Graph> {
+    let mut graphs = vec![
+        diamond(),
+        entry_with_predecessors(),
+        phi_arity_mismatch(),
+        param_outside_entry(),
+        out_of_range_operand(),
+        boolean_arithmetic(),
+        use_before_def(),
+        orphan_with_instructions(),
+        trivial_phi(),
+        critical_edge(),
+        infinite_region(),
+        never_taken_dependent_code(),
+    ];
+    graphs.extend(BAD_PROBABILITIES.map(diamond_with_probability));
+    graphs
+}
+
+/// The first breakage the fault injector's `corrupt` applies: widen the
+/// first φ past its block's predecessor count.
+fn widen_first_phi(g: &Graph) -> Option<Graph> {
+    let mut g = g.clone();
+    let phi = g.blocks().find_map(|b| g.phis(b).first().copied())?;
+    if let Inst::Phi { inputs } = g.inst_mut(phi) {
+        let first = *inputs.first()?;
+        inputs.push(first);
+    }
+    Some(g)
+}
+
+/// The injector's fallback breakage: detach the first instruction that
+/// another instruction or a terminator still uses.
+fn detach_used_instruction(g: &Graph) -> Option<Graph> {
+    let mut g = g.clone();
+    let mut used = vec![false; g.inst_count()];
+    for b in g.reachable_blocks() {
+        let mut mark = |input: InstId| {
+            if let Some(u) = used.get_mut(input.index()) {
+                *u = true;
+            }
+        };
+        for &i in g.block_insts(b) {
+            g.inst(i).for_each_input(&mut mark);
+        }
+        g.terminator(b).for_each_input(&mut mark);
+    }
+    let victim = g
+        .reachable_blocks()
+        .into_iter()
+        .flat_map(|b| g.block_insts(b).to_vec())
+        .find(|i| used[i.index()])?;
+    g.remove_inst(victim);
+    Some(g)
+}
+
+#[test]
+fn verify_reports_exactly_the_lint_errors() {
+    let mut graphs = corpus();
+    let broken: Vec<Graph> = graphs
+        .iter()
+        .flat_map(|g| [widen_first_phi(g), detach_used_instruction(g)])
+        .flatten()
+        .collect();
+    assert!(broken.len() >= graphs.len(), "both breakages must apply");
+    graphs.extend(broken);
+    let mut failing = 0;
+    for g in &graphs {
+        let expected: Vec<String> = lint(g).errors().map(|d| d.message.clone()).collect();
+        let problems = dbds_ir::verify(g)
+            .err()
+            .map_or_else(Vec::new, |e| e.problems);
+        assert_eq!(problems, expected, "verify and lint disagree on\n{g}");
+        failing += usize::from(!problems.is_empty());
+    }
+    assert!(failing > graphs.len() / 2, "the corpus must mostly fail");
 }
 
 #[test]

@@ -23,9 +23,10 @@
 //! never overshoot `max_queue` (the old check-then-enqueue pattern
 //! could, between the load and the increment).
 
-use crate::json::{self, Json};
+use crate::json::Json;
 use crate::proto::{
-    error_json, read_frame_text, response_json, write_frame, FrameError, Request, PROTO_VERSION,
+    decode_payload, error_json, read_frame_payload, response_json, write_frame, FrameError,
+    Request, PROTO_VERSION,
 };
 use crate::service::{CompileService, ServiceConfig, ServiceError};
 use crate::store::{BoundedStore, CompiledStore, DiskStore, MemStore, StoreError, TieredStore};
@@ -462,18 +463,15 @@ fn write_response(stream: &mut Stream, v: &Json) -> bool {
 /// shard's dispatcher, answer status inline, relay replies.
 fn connection(mut stream: Stream, conn: &Conn) {
     loop {
-        let text = match read_frame_text(&mut stream) {
-            Ok(Some(text)) => text,
+        let payload = match read_frame_payload(&mut stream) {
+            Ok(Some(payload)) => payload,
             Ok(None) => return, // client hung up
             Err(_) => return,
         };
-        // A malformed payload (bad JSON, nesting past the parser's
-        // limit) was read whole, so the stream is still in sync: answer
-        // it like any other bad request.
-        let request = match json::parse(&text)
-            .map_err(|e| e.to_string())
-            .and_then(|frame| Request::from_json(&frame))
-        {
+        // A malformed payload (not UTF-8, bad JSON, nesting past the
+        // parser's limit) was read whole, so the stream is still in
+        // sync: answer it like any other bad request.
+        let request = match decode_payload(&payload).and_then(|frame| Request::from_json(&frame)) {
             Ok(r) => r,
             Err(msg) => {
                 if !write_response(&mut stream, &error_json(&ServiceError::BadRequest(msg))) {

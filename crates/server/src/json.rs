@@ -383,16 +383,19 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Advance by whole UTF-8 characters.
+                    // Copy the whole run up to the next quote or escape
+                    // at once. Both delimiters are ASCII, so the run ends
+                    // on a character boundary, and checking only the run
+                    // keeps the parse linear in the string's length.
                     let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                    let len = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len])
                         .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s
-                        .chars()
-                        .next()
-                        .ok_or_else(|| self.err("empty string tail"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -472,6 +475,15 @@ mod tests {
         let v = parse(r#""a\"b\\c\nd\u0007""#).unwrap();
         assert_eq!(v.as_str().unwrap(), "a\"b\\c\nd\u{7}");
         assert_eq!(v.compact(), r#""a\"b\\c\nd\u0007""#);
+    }
+
+    #[test]
+    fn long_multibyte_strings_round_trip() {
+        // A frame-sized string: each character used to re-validate the
+        // whole rest of the input, so this took minutes.
+        let long: String = "aé€\"\\\n𝄞".repeat(1 << 17);
+        let v = parse(&Json::str(long.clone()).compact()).unwrap();
+        assert_eq!(v.as_str(), Some(long.as_str()));
     }
 
     #[test]

@@ -269,23 +269,34 @@ pub fn write_frame(w: &mut impl Write, v: &Json) -> Result<(), FrameError> {
 /// Returns the underlying I/O error, an error for an oversized length
 /// prefix, or a parse error for a malformed payload.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Json>> {
-    let Some(text) = read_frame_text(r)? else {
+    let Some(payload) = read_frame_payload(r)? else {
         return Ok(None);
     };
-    parse(&text)
+    decode_payload(&payload)
         .map(Some)
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
 }
 
-/// Reads one frame's payload as text without decoding it, so a server
+/// Parses a whole frame payload: UTF-8 text holding one JSON value.
+///
+/// # Errors
+///
+/// A message naming the defect: a payload that is not UTF-8, or the
+/// JSON parse error.
+pub(crate) fn decode_payload(payload: &[u8]) -> Result<Json, String> {
+    let text = std::str::from_utf8(payload).map_err(|_| "frame is not UTF-8".to_string())?;
+    parse(text).map_err(|e| e.to_string())
+}
+
+/// Reads one frame's payload bytes without decoding them, so a server
 /// can answer a malformed payload on the still-intact stream; `Ok(None)`
 /// on clean EOF before the length prefix.
 ///
 /// # Errors
 ///
 /// Returns the underlying I/O error, or an error for an oversized
-/// length prefix or a payload that is not UTF-8.
-pub(crate) fn read_frame_text(r: &mut impl Read) -> std::io::Result<Option<String>> {
+/// length prefix.
+pub(crate) fn read_frame_payload(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
     let mut len_bytes = [0u8; 4];
     let mut filled = 0;
     while filled < 4 {
@@ -310,9 +321,7 @@ pub(crate) fn read_frame_text(r: &mut impl Read) -> std::io::Result<Option<Strin
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "frame is not UTF-8"))
+    Ok(Some(payload))
 }
 
 #[cfg(test)]

@@ -262,3 +262,38 @@ fn deeply_nested_frame_is_a_bad_request_and_the_daemon_keeps_serving() {
     client.shutdown().expect("shutdown");
     handle.join();
 }
+
+#[test]
+fn non_utf8_frame_is_a_bad_request_and_the_connection_keeps_serving() {
+    use dbds_server::proto::{read_frame, write_frame};
+    use dbds_server::Request;
+    use std::io::Write;
+
+    let handle = serve(ServerConfig::default()).expect("serve");
+    let mut stream = std::net::TcpStream::connect(&handle.addr).expect("connect");
+    // A well-framed payload that is not UTF-8: the daemon used to close
+    // the stream without answering.
+    let payload = [b'{', 0xff, 0xfe, b'}'];
+    stream
+        .write_all(&(payload.len() as u32).to_be_bytes())
+        .expect("send length");
+    stream.write_all(&payload).expect("send payload");
+    let answer = read_frame(&mut stream)
+        .expect("read answer")
+        .expect("daemon answered");
+    assert_eq!(
+        answer.get("error").and_then(Json::as_str),
+        Some("bad-request")
+    );
+
+    // The same connection still speaks the protocol.
+    write_frame(&mut stream, &Request::Status.to_json()).expect("send status");
+    let status = read_frame(&mut stream)
+        .expect("read status")
+        .expect("status answered");
+    assert!(status.get("counters").is_some(), "{status:?}");
+    drop(stream);
+    let mut client = Client::connect(&handle.addr).expect("connect 2");
+    client.shutdown().expect("shutdown");
+    handle.join();
+}
