@@ -262,19 +262,12 @@ pub struct StoreFaultPlan {
     pub nth: u32,
     /// The seed the plan was derived from (recorded for reproduction).
     pub seed: u64,
-    /// Restricts the fault to one shard of a sharded store: `None`
-    /// strikes any shard (and counts every matching op), `Some(s)`
-    /// strikes only ops routed to shard `s` (and counts only those) —
-    /// the per-shard fault sites the `servsim` shard sweep exercises.
-    pub shard: Option<u32>,
 }
 
 impl StoreFaultPlan {
     /// The full deterministic sweep for `seed`: every kind, firing both
     /// on the first matching operation and on a later, seed-derived one
-    /// (so faults land on cold and warm store traffic). Plans are
-    /// shard-agnostic; see [`StoreFaultPlan::sweep_sharded`] for the
-    /// per-shard grid.
+    /// (so faults land on cold and warm store traffic).
     pub fn sweep(seed: u64) -> Vec<StoreFaultPlan> {
         let mut plans = Vec::new();
         for kind in StoreFault::ALL {
@@ -284,32 +277,7 @@ impl StoreFaultPlan {
             }
             let later = 1 + (h >> 33) as u32 % 5;
             for nth in [0, later] {
-                plans.push(StoreFaultPlan {
-                    kind,
-                    nth,
-                    seed,
-                    shard: None,
-                });
-            }
-        }
-        plans
-    }
-
-    /// The per-shard sweep for `seed`: every kind targeted at each
-    /// shard in `shards`, firing on that shard's first matching
-    /// operation. Hit counting is per `(op class, shard)`, so a fault
-    /// aimed at shard 2 fires on shard 2's first put however much
-    /// traffic the other shards see first.
-    pub fn sweep_sharded(seed: u64, shards: &[u32]) -> Vec<StoreFaultPlan> {
-        let mut plans = Vec::new();
-        for kind in StoreFault::ALL {
-            for &shard in shards {
-                plans.push(StoreFaultPlan {
-                    kind,
-                    nth: 0,
-                    seed,
-                    shard: Some(shard),
-                });
+                plans.push(StoreFaultPlan { kind, nth, seed });
             }
         }
         plans
@@ -350,18 +318,14 @@ pub fn disarm_store() -> (u32, bool) {
 }
 
 /// A store injection point: the on-disk backend calls this on every
-/// `op` with the shard it serves (unsharded backends pass 0) and enacts
-/// the returned fault. Counting is per op class — and, when the plan
-/// targets a shard, only ops on that shard count — so a `nth = 1` read
-/// fault fires on the second matching `get`, however many `put`s (or
-/// other shards' gets) happen in between.
-pub fn take_store_fault(op: StoreOp, shard: u32) -> Option<StoreFault> {
+/// `op` and enacts the returned fault. Counting is per op class, so a
+/// `nth = 1` read fault fires on the second `get`, however many `put`s
+/// happen in between.
+pub fn take_store_fault(op: StoreOp) -> Option<StoreFault> {
     ARMED_STORE.with(|a| {
         let mut a = a.borrow_mut();
         match a.as_mut() {
-            Some(armed)
-                if armed.plan.kind.op() == op && armed.plan.shard.is_none_or(|s| s == shard) =>
-            {
+            Some(armed) if armed.plan.kind.op() == op => {
                 let n = armed.hits;
                 armed.hits += 1;
                 if !armed.fired && n == armed.plan.nth {
@@ -515,60 +479,19 @@ mod tests {
             kind: StoreFault::BitFlipRead,
             nth: 1,
             seed: 0,
-            shard: None,
         });
-        assert_eq!(
-            take_store_fault(StoreOp::Get, 0),
-            None,
-            "hit 0 must not fire"
-        );
+        assert_eq!(take_store_fault(StoreOp::Get), None, "hit 0 must not fire");
         // Puts do not advance a read fault's counter.
-        assert_eq!(take_store_fault(StoreOp::Put, 0), None);
+        assert_eq!(take_store_fault(StoreOp::Put), None);
         assert_eq!(
-            take_store_fault(StoreOp::Get, 0),
+            take_store_fault(StoreOp::Get),
             Some(StoreFault::BitFlipRead)
         );
-        assert_eq!(
-            take_store_fault(StoreOp::Get, 0),
-            None,
-            "fires at most once"
-        );
+        assert_eq!(take_store_fault(StoreOp::Get), None, "fires at most once");
         let (hits, fired) = disarm_store();
         assert_eq!(hits, 3);
         assert!(fired);
         // Disarmed: free of effects.
-        assert_eq!(take_store_fault(StoreOp::Put, 0), None);
-    }
-
-    #[test]
-    fn shard_targeted_fault_only_counts_its_shard() {
-        arm_store(StoreFaultPlan {
-            kind: StoreFault::Enospc,
-            nth: 0,
-            seed: 0,
-            shard: Some(2),
-        });
-        // Other shards' puts neither fire nor advance the counter.
-        assert_eq!(take_store_fault(StoreOp::Put, 0), None);
-        assert_eq!(take_store_fault(StoreOp::Put, 1), None);
-        assert_eq!(take_store_fault(StoreOp::Put, 2), Some(StoreFault::Enospc));
-        let (hits, fired) = disarm_store();
-        assert_eq!(hits, 1, "only shard 2's put counts");
-        assert!(fired);
-    }
-
-    #[test]
-    fn sharded_sweep_targets_every_kind_on_every_shard() {
-        let shards = [0, 2, 3];
-        let plans = StoreFaultPlan::sweep_sharded(9, &shards);
-        assert_eq!(plans, StoreFaultPlan::sweep_sharded(9, &shards));
-        assert_eq!(plans.len(), StoreFault::ALL.len() * shards.len());
-        for kind in StoreFault::ALL {
-            for &s in &shards {
-                assert!(plans
-                    .iter()
-                    .any(|p| p.kind == kind && p.shard == Some(s) && p.nth == 0));
-            }
-        }
+        assert_eq!(take_store_fault(StoreOp::Put), None);
     }
 }

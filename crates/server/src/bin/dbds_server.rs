@@ -2,15 +2,13 @@
 //!
 //! ```text
 //! dbds_server [--listen ADDR] [--store DIR|mem] [--max-queue N]
-//!             [--shards N] [--dispatchers N] [--store-budget BYTES]
-//!             [--tiered]
+//!             [--store-budget BYTES]
 //! ```
 //!
 //! `ADDR` is `host:port` (TCP) or `unix:<path>`. The resolved address
 //! is printed as `listening on <addr>` once the daemon is accepting,
 //! so scripts can wait for readiness. The compilation unit-pool width
-//! honors `DBDS_UNIT_THREADS`; the dispatcher count honors
-//! `DBDS_DISPATCHERS` when the flag is absent.
+//! honors `DBDS_UNIT_THREADS`.
 
 #![forbid(unsafe_code)]
 
@@ -50,20 +48,6 @@ fn run() -> Result<(), String> {
                     .parse()
                     .map_err(|_| "--max-queue needs an integer".to_string())?;
             }
-            "--shards" => {
-                cfg.shards = value("--shards")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or_else(|| "--shards needs a positive integer".to_string())?;
-            }
-            "--dispatchers" => {
-                cfg.dispatchers = value("--dispatchers")?
-                    .parse()
-                    .ok()
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or_else(|| "--dispatchers needs a positive integer".to_string())?;
-            }
             "--store-budget" => {
                 cfg.store_budget = Some(
                     value("--store-budget")?
@@ -71,12 +55,10 @@ fn run() -> Result<(), String> {
                         .map_err(|_| "--store-budget needs a byte count".to_string())?,
                 );
             }
-            "--tiered" => cfg.tiered = true,
             "--help" | "-h" => {
                 println!(
                     "usage: dbds_server [--listen HOST:PORT|unix:PATH] \
-                     [--store DIR|mem] [--max-queue N] [--shards N] \
-                     [--dispatchers N] [--store-budget BYTES] [--tiered]"
+                     [--store DIR|mem] [--max-queue N] [--store-budget BYTES]"
                 );
                 return Ok(());
             }

@@ -5,13 +5,10 @@
 //! firing both on cold and warm store traffic), the micro suite is
 //! served twice through a [`CompileService`] over a fresh on-disk
 //! store, and every OK response is byte-compared against a fresh,
-//! fault-free compile of the same request. The sweep then repeats
-//! shard-targeted over a four-shard store (every fault kind aimed at
-//! every shard the corpus actually occupies). Fault-free adversarial
+//! fault-free compile of the same request. Fault-free adversarial
 //! scenarios ride along: a store whose directory is deleted out from
-//! under it, one whose directory is made read-only, a size-budgeted
-//! store squeezed hard enough that every pass evicts, and a tiered
-//! (mem-over-disk) store.
+//! under it, one whose directory is made read-only, and a size-budgeted
+//! store squeezed hard enough that every pass evicts.
 //!
 //! The three guarantees checked (exit status is non-zero on any
 //! violation):
@@ -33,11 +30,11 @@
 use dbds_core::faultinject::{arm_store, disarm_store, StoreFaultPlan};
 use dbds_core::{DbdsConfig, OptLevel};
 use dbds_server::{
-    BoundedStore, CompileOutcome, CompileRequest, CompileService, CompileSource, CompiledStore,
-    DiskStore, MemStore, ServiceConfig, TieredStore,
+    BoundedStore, CompileOutcome, CompileRequest, CompileService, CompileSource, DiskStore,
+    MemStore, ServiceConfig,
 };
 use dbds_workloads::Suite;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 /// The request corpus: every micro-suite workload at the full DBDS
@@ -128,40 +125,6 @@ fn service_over(dir: &PathBuf) -> CompileService {
     CompileService::new(Box::new(store), DbdsConfig::default(), sim_config())
 }
 
-/// A service over `shards` on-disk shards under `dir`, each optionally
-/// wrapped in a [`BoundedStore`] with a per-shard byte `budget`.
-fn sharded_service_over(dir: &Path, shards: u32, budget: Option<u64>) -> CompileService {
-    let stores = (0..shards)
-        .map(|i| {
-            let shard_dir = dir.join(format!("shard-{i}"));
-            let store: Box<dyn CompiledStore> =
-                Box::new(DiskStore::open_shard(&shard_dir, i).expect("open servsim shard"));
-            match budget {
-                Some(b) => Box::new(BoundedStore::new(store, b).expect("bound servsim shard")),
-                None => store,
-            }
-        })
-        .collect();
-    CompileService::with_shards(stores, DbdsConfig::default(), sim_config())
-}
-
-/// The shards of an `n`-shard store that the corpus actually touches.
-/// Targeting only these keeps the shard-targeted sweep's "every plan
-/// fires" gate meaningful.
-fn occupied_shards(reqs: &[CompileRequest], n: u32) -> Vec<u32> {
-    let probe = CompileService::with_shards(
-        (0..n)
-            .map(|_| Box::new(MemStore::new()) as Box<dyn CompiledStore>)
-            .collect(),
-        DbdsConfig::default(),
-        sim_config(),
-    );
-    let mut shards: Vec<u32> = reqs.iter().map(|r| probe.shard_for(r) as u32).collect();
-    shards.sort_unstable();
-    shards.dedup();
-    shards
-}
-
 fn counter_line(svc: &CompileService) -> String {
     let c = svc.counters();
     let health = svc.store_health();
@@ -236,44 +199,6 @@ fn main() -> ExitCode {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    // Shard-targeted sweep: every fault kind aimed at every shard of a
-    // four-shard store that the corpus actually occupies. Occupancy is a
-    // pure function of the request keys, so the plan list (and stdout)
-    // is deterministic.
-    const SWEEP_SHARDS: u32 = 4;
-    let occupied = occupied_shards(&reqs, SWEEP_SHARDS);
-    println!(
-        "sharded sweep: {SWEEP_SHARDS} shards, occupied {:?}",
-        occupied
-    );
-    for (i, plan) in StoreFaultPlan::sweep_sharded(seed, &occupied)
-        .into_iter()
-        .enumerate()
-    {
-        let dir = fresh_store_dir(&format!("shardplan{i}"));
-        let svc = sharded_service_over(&dir, SWEEP_SHARDS, None);
-        arm_store(plan.clone());
-        let (pass_lines, wrong, panics) = run_passes(&svc, &reqs, &truth);
-        total_wrong += wrong;
-        total_panics += panics;
-        let (_hits, fired) = disarm_store();
-        if !fired {
-            unfired += 1;
-        }
-        println!(
-            "plan {} shard={} fired={} panicked={}",
-            plan.kind.name(),
-            plan.shard.unwrap_or(u32::MAX),
-            fired,
-            panics > 0
-        );
-        for line in pass_lines {
-            println!("{line}");
-        }
-        println!("  {}", counter_line(&svc));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     // Scenario: the store directory is deleted while the service runs.
     {
         let dir = fresh_store_dir("dead-dir");
@@ -326,7 +251,9 @@ fn main() -> ExitCode {
     // eviction counter must prove the policy actually ran.
     {
         let dir = fresh_store_dir("eviction-pressure");
-        let svc = sharded_service_over(&dir, SWEEP_SHARDS, Some(1));
+        let disk = DiskStore::open(&dir).expect("open servsim store");
+        let bounded = BoundedStore::new(Box::new(disk), 1).expect("bound servsim store");
+        let svc = CompileService::new(Box::new(bounded), DbdsConfig::default(), sim_config());
         let (lines, wrong, panics) = run_passes(&svc, &reqs, &truth);
         total_wrong += wrong;
         total_panics += panics;
@@ -337,33 +264,6 @@ fn main() -> ExitCode {
         println!("  {}", counter_line(&svc));
         if svc.store_health().evictions == 0 {
             eprintln!("servsim: error: eviction-pressure scenario never evicted");
-            total_wrong += 1;
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    // Scenario: a tiered store (memory front over the disk back). The
-    // warm pass is served from the front; artifacts must stay
-    // byte-identical to the fault-free ground truth.
-    {
-        let dir = fresh_store_dir("tiered");
-        let disk = DiskStore::open(&dir).expect("open tiered back store");
-        let svc = CompileService::new(
-            Box::new(TieredStore::new(Box::new(disk))),
-            DbdsConfig::default(),
-            sim_config(),
-        );
-        let (lines, wrong, panics) = run_passes(&svc, &reqs, &truth);
-        total_wrong += wrong;
-        total_panics += panics;
-        println!("scenario tiered-store");
-        for line in lines {
-            println!("{line}");
-        }
-        println!("  {}", counter_line(&svc));
-        let warm_hits = svc.counters().hits;
-        if warm_hits < reqs.len() as u64 {
-            eprintln!("servsim: error: tiered scenario warm pass missed the cache");
             total_wrong += 1;
         }
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,21 +1,18 @@
 //! The `dbds-server` daemon: socket listeners, a bounded admission
-//! queue with load shedding, and N dispatcher threads over the sharded
+//! queue with load shedding, and one dispatcher thread over the
 //! [`CompileService`].
 //!
 //! Architecture: connection threads parse frames, answer status
-//! directly (it only locks shards, briefly, in order), and route each
-//! compile job to the dispatcher that owns its shard
-//! (`dispatcher = key.shard(shards) % dispatchers`). Every store
-//! access and compilation happens on a dispatcher, which drains its
-//! queue in batches (so concurrent clients still get the unit-level
-//! parallel fan-out of [`CompileService::compile_batch`]).
+//! directly (it only takes the service lock, briefly), and send each
+//! compile job to the dispatcher. Every store access and compilation
+//! happens on the dispatcher, which drains its queue in batches (so
+//! concurrent clients still get the unit-level parallel fan-out of
+//! [`CompileService::compile_batch`]).
 //!
-//! Determinism: a request's shard is a pure function of its key, every
-//! shard is owned by exactly one dispatcher, and a dispatcher drains
-//! its queue in arrival order — so each shard observes its requests in
-//! submission order whatever the dispatcher count, and the summed
-//! status counters are byte-identical across `DBDS_DISPATCHERS`
-//! (gated in CI).
+//! Determinism: the dispatcher drains its queue in arrival order and
+//! the service commits each batch in submission order, so the status
+//! counters are a function of the request sequence alone —
+//! byte-identical at any `DBDS_UNIT_THREADS` (gated in CI).
 //!
 //! Admission control is a single atomic reserve-or-shed
 //! ([`try_admit`]): the queue slot is reserved by the same
@@ -29,7 +26,7 @@ use crate::proto::{
     Request, PROTO_VERSION,
 };
 use crate::service::{CompileService, ServiceConfig, ServiceError};
-use crate::store::{BoundedStore, CompiledStore, DiskStore, MemStore, StoreError, TieredStore};
+use crate::store::{BoundedStore, CompiledStore, DiskStore, MemStore, StoreError};
 use dbds_core::DbdsConfig;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -49,10 +46,9 @@ pub enum StoreChoice {
 }
 
 impl StoreChoice {
-    /// Opens the chosen backend, unsharded and unwrapped. A store
-    /// directory that cannot be opened degrades to the in-memory
-    /// backend with a warning on stderr — a broken cache must not
-    /// prevent serving.
+    /// Opens the chosen backend. A store directory that cannot be
+    /// opened degrades to the in-memory backend with a warning on
+    /// stderr — a broken cache must not prevent serving.
     pub fn open(&self) -> Box<dyn CompiledStore> {
         match self {
             StoreChoice::Mem => Box::new(MemStore::new()),
@@ -67,69 +63,6 @@ impl StoreChoice {
                     Box::new(MemStore::new())
                 }
             },
-        }
-    }
-
-    /// Opens `shards` backends for a sharded service. Disk shards live
-    /// in `dir/shard-<i>/` subdirectories and carry their shard id to
-    /// the fault-injection sites; a `budget` is split evenly across
-    /// shards and enforced per shard by a [`BoundedStore`]; `tiered`
-    /// puts a write-through in-memory front in front of each disk
-    /// shard. Any shard that cannot be opened degrades to in-memory,
-    /// like [`StoreChoice::open`].
-    pub fn open_shards(
-        &self,
-        shards: usize,
-        budget: Option<u64>,
-        tiered: bool,
-    ) -> Vec<Box<dyn CompiledStore>> {
-        let shards = shards.max(1);
-        (0..shards)
-            .map(|i| {
-                let mut store: Box<dyn CompiledStore> = match self {
-                    StoreChoice::Mem => Box::new(MemStore::new()),
-                    StoreChoice::Disk(dir) => {
-                        let shard_dir = dir.join(format!("shard-{i}"));
-                        match DiskStore::open_shard(&shard_dir, i as u32) {
-                            Ok(s) => Box::new(s),
-                            Err(StoreError(e)) => {
-                                eprintln!(
-                                    "dbds-server: warning: store shard {} unusable ({e}); \
-                                     falling back to in-memory cache",
-                                    shard_dir.display()
-                                );
-                                Box::new(MemStore::new())
-                            }
-                        }
-                    }
-                };
-                if tiered {
-                    store = Box::new(TieredStore::new(store));
-                }
-                if let Some(total) = budget {
-                    match BoundedStore::new(store, total / shards as u64) {
-                        Ok(bounded) => store = Box::new(bounded),
-                        Err(StoreError(e)) => {
-                            eprintln!("dbds-server: warning: shard {i} budget not enforced ({e})");
-                            store = match self {
-                                StoreChoice::Mem => Box::new(MemStore::new()),
-                                StoreChoice::Disk(dir) => {
-                                    self.reopen_unbounded(&dir.join(format!("shard-{i}")), i as u32)
-                                }
-                            };
-                        }
-                    }
-                }
-                store
-            })
-            .collect()
-    }
-
-    /// Fallback when wrapping a shard failed: reopen it plain.
-    fn reopen_unbounded(&self, dir: &PathBuf, shard: u32) -> Box<dyn CompiledStore> {
-        match DiskStore::open_shard(dir, shard) {
-            Ok(s) => Box::new(s),
-            Err(_) => Box::new(MemStore::new()),
         }
     }
 }
@@ -150,22 +83,12 @@ pub struct ServerConfig {
     /// Admission-queue bound: jobs beyond this many waiting are shed
     /// with a typed `overloaded` response.
     pub max_queue: usize,
-    /// Store shard count. Part of the store layout (disk shards live
-    /// in `shard-<i>/` subdirectories), not of the execution plan:
-    /// counters and results are invariant in it, but changing it on an
-    /// existing store re-routes keys to cold shards.
-    pub shards: usize,
-    /// Dispatcher thread count (defaults to `DBDS_DISPATCHERS` or 1).
-    /// Purely an execution knob: status counters are byte-identical
-    /// across dispatcher counts.
+    /// Ignored: the daemon always runs one dispatcher. Kept only so
+    /// existing callers that set it still build.
     pub dispatchers: usize,
-    /// Total store byte budget, split evenly across shards and
-    /// enforced by second-chance eviction; `None` = unbounded.
+    /// Byte budget of the whole store, enforced by second-chance
+    /// eviction ([`BoundedStore`]); `None` = unbounded.
     pub store_budget: Option<u64>,
-    /// Put a write-through in-memory front in front of each disk
-    /// shard. Off by default: the front masks on-disk corruption until
-    /// restart, which the heal-path e2e exercises against.
-    pub tiered: bool,
 }
 
 impl Default for ServerConfig {
@@ -176,14 +99,8 @@ impl Default for ServerConfig {
             base_cfg: DbdsConfig::default(),
             service: ServiceConfig::default(),
             max_queue: 128,
-            shards: 8,
-            dispatchers: std::env::var("DBDS_DISPATCHERS")
-                .ok()
-                .and_then(|v| v.parse().ok())
-                .filter(|&n| n > 0)
-                .unwrap_or(1),
+            dispatchers: 1,
             store_budget: None,
-            tiered: false,
         }
     }
 }
@@ -246,16 +163,14 @@ pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
     peak_depth: Arc<AtomicUsize>,
     accept_thread: thread::JoinHandle<()>,
-    dispatcher_threads: Vec<thread::JoinHandle<()>>,
+    dispatcher_thread: thread::JoinHandle<()>,
 }
 
 impl ServerHandle {
     /// Blocks until the daemon has shut down (a client sent
     /// `shutdown`, or [`ServerHandle::stop`] was called).
     pub fn join(self) {
-        for t in self.dispatcher_threads {
-            let _ = t.join();
-        }
+        let _ = self.dispatcher_thread.join();
         let _ = self.accept_thread.join();
     }
 
@@ -293,13 +208,11 @@ fn try_admit(depth: &AtomicUsize, max: usize) -> bool {
 /// # Errors
 ///
 /// Returns a message when the listen address cannot be parsed or
-/// bound. Store problems do *not* fail startup (see
-/// [`StoreChoice::open_shards`]).
+/// bound. Store problems do *not* fail startup (see [`open_store`]).
 pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
     let (listener, addr) = bind(&cfg.listen)?;
-    let service = Arc::new(CompileService::with_shards(
-        cfg.store
-            .open_shards(cfg.shards, cfg.store_budget, cfg.tiered),
+    let service = Arc::new(CompileService::new(
+        open_store(&cfg.store, cfg.store_budget),
         cfg.base_cfg.clone(),
         cfg.service.clone(),
     ));
@@ -307,28 +220,21 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
     let shutdown = Arc::new(AtomicBool::new(false));
     let depth = Arc::new(AtomicUsize::new(0));
     let peak_depth = Arc::new(AtomicUsize::new(0));
-    let n_dispatchers = cfg.dispatchers.max(1);
 
-    let mut senders = Vec::with_capacity(n_dispatchers);
-    let mut dispatcher_threads = Vec::with_capacity(n_dispatchers);
-    for d in 0..n_dispatchers {
-        let (tx, rx) = mpsc::channel::<Job>();
-        senders.push(tx);
+    let (sender, rx) = mpsc::channel::<Job>();
+    let dispatcher_thread = {
         let service = Arc::clone(&service);
         let depth = Arc::clone(&depth);
-        dispatcher_threads.push(
-            thread::Builder::new()
-                .name(format!("dbds-dispatch-{d}"))
-                .spawn(move || dispatcher(&service, &rx, &depth))
-                .map_err(|e| format!("spawn dispatcher {d}: {e}"))?,
-        );
-    }
+        thread::Builder::new()
+            .name("dbds-dispatch".into())
+            .spawn(move || dispatcher(&service, &rx, &depth))
+            .map_err(|e| format!("spawn dispatcher: {e}"))?
+    };
 
     let accept_thread = {
         let shutdown = Arc::clone(&shutdown);
         let depth = Arc::clone(&depth);
         let peak_depth = Arc::clone(&peak_depth);
-        let senders = senders.clone();
         let addr = addr.clone();
         let max_queue = cfg.max_queue;
         thread::Builder::new()
@@ -344,7 +250,7 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
                     }
                     let conn = Conn {
                         service: Arc::clone(&service),
-                        senders: senders.clone(),
+                        sender: sender.clone(),
                         shutdown: Arc::clone(&shutdown),
                         depth: Arc::clone(&depth),
                         peak_depth: Arc::clone(&peak_depth),
@@ -355,8 +261,8 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
                         .name("dbds-conn".into())
                         .spawn(move || connection(stream, &conn));
                 }
-                // Dropping `senders` here closes every dispatcher
-                // queue once the last connection thread exits too.
+                // Dropping `sender` here closes the dispatcher queue
+                // once the last connection thread exits too.
             })
             .map_err(|e| format!("spawn accept loop: {e}"))?
     };
@@ -366,8 +272,26 @@ pub fn serve(cfg: ServerConfig) -> Result<ServerHandle, String> {
         shutdown,
         peak_depth,
         accept_thread,
-        dispatcher_threads,
+        dispatcher_thread,
     })
+}
+
+/// Opens `choice` and, when `budget` is set, bounds the whole store to
+/// it. A budget that cannot be enforced (the store cannot list or read
+/// its entries) is dropped with a warning on stderr and the store is
+/// reopened unbounded — a broken cache must not prevent serving.
+fn open_store(choice: &StoreChoice, budget: Option<u64>) -> Box<dyn CompiledStore> {
+    let store = choice.open();
+    let Some(budget) = budget else {
+        return store;
+    };
+    match BoundedStore::new(store, budget) {
+        Ok(bounded) => Box::new(bounded),
+        Err(StoreError(e)) => {
+            eprintln!("dbds-server: warning: store budget not enforced ({e})");
+            choice.open()
+        }
+    }
 }
 
 fn bind(listen: &str) -> Result<(Listener, String), String> {
@@ -394,10 +318,7 @@ impl Listener {
     }
 }
 
-/// One dispatcher: drains its queue in batches. Every job in this
-/// queue routes to a shard this dispatcher owns, so batches touch
-/// disjoint shard sets across dispatchers and each shard sees its
-/// requests in arrival order.
+/// The dispatcher: drains its queue in batches, in arrival order.
 fn dispatcher(service: &CompileService, rx: &mpsc::Receiver<Job>, depth: &AtomicUsize) {
     while let Ok(first) = rx.recv() {
         // Batch: everything already waiting rides along with the job
@@ -438,7 +359,7 @@ fn dispatcher(service: &CompileService, rx: &mpsc::Receiver<Job>, depth: &Atomic
 /// site readable.
 struct Conn {
     service: Arc<CompileService>,
-    senders: Vec<mpsc::Sender<Job>>,
+    sender: mpsc::Sender<Job>,
     shutdown: Arc<AtomicBool>,
     depth: Arc<AtomicUsize>,
     peak_depth: Arc<AtomicUsize>,
@@ -459,8 +380,8 @@ fn write_response(stream: &mut Stream, v: &Json) -> bool {
     }
 }
 
-/// One client connection: read frames, route compile jobs to their
-/// shard's dispatcher, answer status inline, relay replies.
+/// One client connection: read frames, queue compile jobs for the
+/// dispatcher, answer status inline, relay replies.
 fn connection(mut stream: Stream, conn: &Conn) {
     loop {
         let payload = match read_frame_payload(&mut stream) {
@@ -488,10 +409,9 @@ fn connection(mut stream: Stream, conn: &Conn) {
 
         match request {
             Request::Status => {
-                // Served inline: status only locks shards (in shard
-                // order), it never compiles, so it needs no queue slot
-                // and cannot jump ahead of a shard's compile order —
-                // shard locks serialize it against in-flight work.
+                // Served inline: status only takes the service lock, it
+                // never compiles, so it needs no queue slot; the lock
+                // serializes it against in-flight store work.
                 let mut status = conn.service.status_json();
                 if let Json::Obj(pairs) = &mut status {
                     pairs.insert(0, ("proto".into(), Json::str(PROTO_VERSION)));
@@ -503,18 +423,13 @@ fn connection(mut stream: Stream, conn: &Conn) {
             Request::Shutdown => {
                 conn.shutdown.store(true, Ordering::SeqCst);
                 let (reply_tx, reply_rx) = mpsc::channel();
-                for tx in &conn.senders {
-                    let _ = tx.send(Job::Shutdown {
-                        reply: reply_tx.clone(),
-                    });
-                }
-                drop(reply_tx);
+                let _ = conn.sender.send(Job::Shutdown { reply: reply_tx });
                 let ok = reply_rx
                     .recv()
                     .unwrap_or_else(|_| Json::Obj(vec![("ok".into(), Json::Bool(true))]));
                 let _ = write_response(&mut stream, &ok);
                 // Nudge the accept loop out of its blocking accept()
-                // so it observes the flag and drops its senders.
+                // so it observes the flag and drops its sender.
                 let _ = crate::client::Client::connect(&conn.addr);
                 return;
             }
@@ -530,14 +445,12 @@ fn connection(mut stream: Stream, conn: &Conn) {
                 conn.peak_depth
                     .fetch_max(conn.depth.load(Ordering::SeqCst), Ordering::SeqCst);
 
-                let shard = conn.service.shard_for(&req);
-                let dispatcher = shard % conn.senders.len();
                 let (reply_tx, reply_rx) = mpsc::channel();
                 let job = Job::Compile {
                     req,
                     reply: reply_tx,
                 };
-                if conn.senders[dispatcher].send(job).is_err() {
+                if conn.sender.send(job).is_err() {
                     // Dispatcher is gone (shutdown raced us).
                     conn.depth.fetch_sub(1, Ordering::SeqCst);
                     let _ = write_response(&mut stream, &error_json(&ServiceError::Overloaded));

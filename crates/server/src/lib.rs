@@ -73,7 +73,4 @@ pub use service::{
     run_session, CompileOutcome, CompileRequest, CompileService, CompileSource, ServedResult,
     ServiceConfig, ServiceCounters, ServiceError, SessionPass, SessionReport,
 };
-pub use store::{
-    BoundedStore, CompiledStore, DiskStore, MemStore, ShardedStore, StoreError, StoreHealth,
-    TieredStore,
-};
+pub use store::{BoundedStore, CompiledStore, DiskStore, MemStore, StoreError, StoreHealth};

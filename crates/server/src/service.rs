@@ -192,23 +192,6 @@ impl ServiceCounters {
         }
     }
 
-    /// Field-wise `self + other`; used to total per-shard counters.
-    #[must_use]
-    pub fn sum(&self, other: &ServiceCounters) -> ServiceCounters {
-        ServiceCounters {
-            requests: self.requests + other.requests,
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            puts: self.puts + other.puts,
-            quarantined: self.quarantined + other.quarantined,
-            shed: self.shed + other.shed,
-            retries: self.retries + other.retries,
-            degraded: self.degraded + other.degraded,
-            deadline_exceeded: self.deadline_exceeded + other.deadline_exceeded,
-            bad_requests: self.bad_requests + other.bad_requests,
-        }
-    }
-
     /// The counters in stable report order.
     pub fn fields(&self) -> [(&'static str, u64); 10] {
         [
@@ -236,10 +219,10 @@ impl ServiceCounters {
     }
 }
 
-/// One shard of the service: a store slice and the counters for the
-/// requests routed to it, guarded together by one lock so a shard's
-/// counters are always consistent with its store.
-struct Shard {
+/// The store and the counters of the requests it served, guarded
+/// together by one lock so the counters are always consistent with the
+/// store.
+struct Cache {
     store: Box<dyn CompiledStore>,
     counters: ServiceCounters,
 }
@@ -256,18 +239,18 @@ fn retry_backoff(step: Duration, attempt: u32) -> Duration {
     step.saturating_mul(attempt.clamp(1, BACKOFF_CAP_STEPS))
 }
 
-/// The compilation service: the store sharded by key prefix (each
-/// shard with its own lock and counters), one cost model, one base
-/// configuration, and the built-in workload table.
+/// The compilation service: one store and its counters behind one
+/// lock, one cost model, one base configuration, and the built-in
+/// workload table.
 ///
-/// All entry points take `&self`: a request only ever locks the one
-/// shard its key routes to, so requests on different shards proceed
-/// concurrently while each shard observes its own requests strictly in
-/// submission order — which is what keeps the (summed) counters
-/// byte-identical however many dispatcher threads drive the service.
+/// All entry points take `&self`. The store is only touched under the
+/// lock, and [`CompileService::compile_batch`] commits in submission
+/// order, so the counters are a function of the request sequence alone
+/// — byte-identical at any `DBDS_UNIT_THREADS`.
 pub struct CompileService {
-    shards: Vec<Mutex<Shard>>,
-    /// Requests shed by admission control before reaching any shard.
+    cache: Mutex<Cache>,
+    /// Requests shed by admission control; kept outside the lock so
+    /// shedding never waits behind a batch.
     shed: AtomicU64,
     model: CostModel,
     base_cfg: DbdsConfig,
@@ -279,39 +262,19 @@ impl fmt::Debug for CompileService {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CompileService")
             .field("backend", &self.backend())
-            .field("shards", &self.shards.len())
             .field("counters", &self.counters())
             .finish_non_exhaustive()
     }
 }
 
 impl CompileService {
-    /// Builds an unsharded (single-shard) service over `store`
-    /// compiling with `base_cfg`.
+    /// Builds a service over `store` compiling with `base_cfg`.
     pub fn new(store: Box<dyn CompiledStore>, base_cfg: DbdsConfig, cfg: ServiceConfig) -> Self {
-        CompileService::with_shards(vec![store], base_cfg, cfg)
-    }
-
-    /// Builds a service over one store per shard (at least one);
-    /// requests route to `key.shard(stores.len())`. The shard count is
-    /// part of the store layout, not of the execution plan: it must
-    /// not change with thread or dispatcher counts.
-    pub fn with_shards(
-        stores: Vec<Box<dyn CompiledStore>>,
-        base_cfg: DbdsConfig,
-        cfg: ServiceConfig,
-    ) -> Self {
-        assert!(!stores.is_empty(), "the service needs >= 1 store shard");
         CompileService {
-            shards: stores
-                .into_iter()
-                .map(|store| {
-                    Mutex::new(Shard {
-                        store,
-                        counters: ServiceCounters::default(),
-                    })
-                })
-                .collect(),
+            cache: Mutex::new(Cache {
+                store,
+                counters: ServiceCounters::default(),
+            }),
             shed: AtomicU64::new(0),
             model: CostModel::new(),
             base_cfg,
@@ -323,47 +286,24 @@ impl CompileService {
         }
     }
 
-    /// Locks shard `i`; a poisoned lock is taken over as-is (counters
+    /// Locks the cache; a poisoned lock is taken over as-is (counters
     /// and store are always left internally consistent).
-    fn shard(&self, i: usize) -> MutexGuard<'_, Shard> {
-        self.shards[i]
+    fn lock(&self) -> MutexGuard<'_, Cache> {
+        self.cache
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Number of store shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Backend name of the underlying store (shard 0 is
-    /// representative: all shards share one backend kind).
+    /// Backend name of the underlying store.
     pub fn backend(&self) -> &'static str {
-        self.shard(0).store.backend()
+        self.lock().store.backend()
     }
 
-    /// The shard (and thus dispatcher queue) `req` routes to: the
-    /// shard of its store key, computable before any compilation
-    /// because the key fingerprint excludes the deadline and thread
-    /// counts. Unroutable (malformed) requests go to shard 0 so their
-    /// `bad_requests` tick lands deterministically.
-    pub fn shard_for(&self, req: &CompileRequest) -> usize {
-        match self.resolve(&req.source) {
-            Ok(graph) => {
-                StoreKey::compute(&graph, &self.base_cfg, req.level).shard(self.shards.len())
-            }
-            Err(_) => 0,
-        }
-    }
-
-    /// Current counters snapshot, summed over shards in shard order.
+    /// Current counters snapshot.
     pub fn counters(&self) -> ServiceCounters {
-        let mut total = ServiceCounters::default();
-        for i in 0..self.shards.len() {
-            total = total.sum(&self.shard(i).counters);
-        }
-        total.shed += self.shed.load(Ordering::SeqCst);
-        total
+        let mut counters = self.lock().counters;
+        counters.shed += self.shed.load(Ordering::SeqCst);
+        counters
     }
 
     /// Records `n` requests shed by the admission queue.
@@ -371,31 +311,20 @@ impl CompileService {
         self.shed.fetch_add(n, Ordering::SeqCst);
     }
 
-    /// Health snapshot of the underlying store, summed over shards
-    /// (entry count plus store-internal checksum quarantines — which
-    /// are distinct from the service-level verify quarantines in
+    /// Health snapshot of the underlying store (entry count plus
+    /// store-internal checksum quarantines — which are distinct from
+    /// the service-level verify quarantines in
     /// [`ServiceCounters::quarantined`] — plus budget evictions).
     pub fn store_health(&self) -> crate::store::StoreHealth {
-        let mut total = crate::store::StoreHealth::default();
-        for i in 0..self.shards.len() {
-            let health = self.shard(i).store.health();
-            total.entries += health.entries;
-            total.quarantined += health.quarantined;
-            total.evictions += health.evictions;
-        }
-        total
+        self.lock().store.health()
     }
 
     /// The status report: counters plus store health, as served to
-    /// `dbds_client status` and embedded in harness reports. Shards
-    /// are locked in shard order; the shape deliberately excludes the
-    /// dispatcher count, so quiescent status output is byte-identical
-    /// across `DBDS_DISPATCHERS` (gated in CI).
+    /// `dbds_client status` and embedded in harness reports.
     pub fn status_json(&self) -> Json {
         let health = self.store_health();
         Json::Obj(vec![
             ("backend".into(), Json::str(self.backend())),
-            ("shards".into(), Json::num(self.shards.len() as u64)),
             ("counters".into(), self.counters().to_json()),
             (
                 "store".into(),
@@ -408,21 +337,21 @@ impl CompileService {
         ])
     }
 
-    /// Runs a store operation on one (locked) shard with bounded retry
+    /// Runs a store operation on the (locked) cache with bounded retry
     /// plus clamped linear backoff (rung 3); `Err` means the ladder
     /// fell through to rung 4.
     fn with_retry<T>(
         cfg: &ServiceConfig,
-        shard: &mut Shard,
+        cache: &mut Cache,
         mut op: impl FnMut(&mut dyn CompiledStore) -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         let mut attempt = 0;
         loop {
-            match op(shard.store.as_mut()) {
+            match op(cache.store.as_mut()) {
                 Ok(v) => return Ok(v),
                 Err(_) if attempt < cfg.store_retries => {
                     attempt += 1;
-                    shard.counters.retries += 1;
+                    cache.counters.retries += 1;
                     std::thread::sleep(retry_backoff(cfg.store_backoff, attempt));
                 }
                 Err(e) => return Err(e),
@@ -431,7 +360,9 @@ impl CompileService {
     }
 
     /// Resolves a request into a pristine graph (cloned, unoptimized)
-    /// or a typed [`ServiceError::BadRequest`].
+    /// or a typed [`ServiceError::BadRequest`]. Inline IR must parse
+    /// and verify: a graph the verifier rejects is never compiled,
+    /// served or stored.
     fn resolve(&self, source: &CompileSource) -> Result<Graph, ServiceError> {
         match source {
             CompileSource::Workload(name) => self
@@ -448,58 +379,54 @@ impl CompileService {
                         module.graphs.len()
                     )));
                 }
-                Ok(module.graphs.remove(0))
+                let graph = module.graphs.remove(0);
+                dbds_ir::verify(&graph)
+                    .map_err(|e| ServiceError::BadRequest(format!("IR does not verify: {e}")))?;
+                Ok(graph)
             }
         }
     }
 
     /// Serves a batch of requests.
     ///
-    /// Per shard, store lookups and installs run sequentially in
-    /// submission order (this is what makes the counters
-    /// deterministic: a request's counter effects depend only on its
-    /// own shard's request subsequence, never on interleaving with
-    /// other shards); the fresh compiles of all misses fan out
-    /// together on the [`dbds_core::par`] unit pool and are committed
-    /// back in submission order, locking only each miss's shard.
+    /// Store lookups and installs run sequentially in submission order
+    /// under the lock (this is what makes the counters deterministic);
+    /// the fresh compiles of all misses fan out together on the
+    /// [`dbds_core::par`] unit pool without the lock, and are committed
+    /// back in submission order.
     pub fn compile_batch(&self, reqs: &[CompileRequest]) -> Vec<CompileOutcome> {
-        let shard_count = self.shards.len();
-
         // Rungs 1–2, sequentially per request: resolve, key, probe the
         // store, verify anything it returns.
         let mut outcomes: Vec<Option<CompileOutcome>> = Vec::with_capacity(reqs.len());
-        let mut misses: Vec<(usize, Graph, StoreKey, DbdsConfig, OptLevel, usize)> = Vec::new();
-        for (i, req) in reqs.iter().enumerate() {
-            let resolved = self.resolve(&req.source);
-            let graph = match resolved {
-                Ok(g) => g,
-                Err(e) => {
-                    // Unroutable: accounted to shard 0, like shard_for.
-                    let mut shard = self.shard(0);
-                    shard.counters.requests += 1;
-                    shard.counters.bad_requests += 1;
-                    outcomes.push(Some(Err(e)));
-                    continue;
-                }
-            };
-            let mut cfg = self.base_cfg.clone();
-            cfg.guard.deadline = req.deadline_ms.map(Duration::from_millis);
-            let key = StoreKey::compute(&graph, &cfg, req.level);
-            let shard_idx = key.shard(shard_count);
-            let mut shard = self.shard(shard_idx);
-            shard.counters.requests += 1;
-            match Self::lookup_verified(&self.cfg, &mut shard, &key) {
-                Some(artifact) => {
-                    shard.counters.hits += 1;
-                    outcomes.push(Some(Ok(ServedResult {
-                        artifact,
-                        cached: true,
-                    })));
-                }
-                None => {
-                    shard.counters.misses += 1;
-                    outcomes.push(None);
-                    misses.push((i, graph, key, cfg, req.level, shard_idx));
+        let mut misses: Vec<(usize, Graph, StoreKey, DbdsConfig, OptLevel)> = Vec::new();
+        {
+            let mut cache = self.lock();
+            for (i, req) in reqs.iter().enumerate() {
+                cache.counters.requests += 1;
+                let graph = match self.resolve(&req.source) {
+                    Ok(g) => g,
+                    Err(e) => {
+                        cache.counters.bad_requests += 1;
+                        outcomes.push(Some(Err(e)));
+                        continue;
+                    }
+                };
+                let mut cfg = self.base_cfg.clone();
+                cfg.guard.deadline = req.deadline_ms.map(Duration::from_millis);
+                let key = StoreKey::compute(&graph, &cfg, req.level);
+                match Self::lookup_verified(&self.cfg, &mut cache, &key) {
+                    Some(artifact) => {
+                        cache.counters.hits += 1;
+                        outcomes.push(Some(Ok(ServedResult {
+                            artifact,
+                            cached: true,
+                        })));
+                    }
+                    None => {
+                        cache.counters.misses += 1;
+                        outcomes.push(None);
+                        misses.push((i, graph, key, cfg, req.level));
+                    }
                 }
             }
         }
@@ -513,7 +440,7 @@ impl CompileService {
         let (compiled, _loads, _ns) = dbds_core::par::run_units(
             plan.unit_workers,
             &misses,
-            |_i, (_idx, graph, _key, cfg, level, _shard)| {
+            |_i, (_idx, graph, _key, cfg, level)| {
                 let mut g = graph.clone();
                 let stats = compile(&mut g, model, *level, cfg);
                 (g, stats)
@@ -522,12 +449,11 @@ impl CompileService {
 
         // Commit in submission order: reject deadline-truncated
         // results, install the rest (rungs 3–4 for the put).
-        for ((idx, _graph, key, _cfg, level, shard_idx), (g, stats)) in
-            misses.into_iter().zip(compiled)
-        {
-            let mut shard = self.shard(shard_idx);
-            let outcome = Self::commit_fresh(&self.cfg, &mut shard, key, level, &g, &stats);
-            outcomes[idx] = Some(outcome);
+        let mut cache = self.lock();
+        for ((idx, _graph, key, _cfg, level), (g, stats)) in misses.into_iter().zip(compiled) {
+            outcomes[idx] = Some(Self::commit_fresh(
+                &self.cfg, &mut cache, key, level, &g, &stats,
+            ));
         }
 
         outcomes
@@ -536,20 +462,19 @@ impl CompileService {
             .collect()
     }
 
-    /// Rungs 1–2: probe the shard's store for `key` and fully verify
-    /// whatever comes back. Any failure heals to a miss, never to an
-    /// error.
+    /// Rungs 1–2: probe the store for `key` and fully verify whatever
+    /// comes back. Any failure heals to a miss, never to an error.
     fn lookup_verified(
         cfg: &ServiceConfig,
-        shard: &mut Shard,
+        cache: &mut Cache,
         key: &StoreKey,
     ) -> Option<CompiledArtifact> {
-        let payload = match Self::with_retry(cfg, shard, |s| s.get(key)) {
+        let payload = match Self::with_retry(cfg, cache, |s| s.get(key)) {
             Ok(p) => p?,
             Err(_) => {
                 // Rung 4: the store cannot even answer reads — compile
                 // fresh, uncached.
-                shard.counters.degraded += 1;
+                cache.counters.degraded += 1;
                 return None;
             }
         };
@@ -560,9 +485,9 @@ impl CompileService {
         if ok.is_none() {
             // Rung 2: structurally intact on disk (the checksum passed)
             // but semantically bad — evict and recompute.
-            shard.counters.quarantined += 1;
-            if Self::with_retry(cfg, shard, |s| s.evict(key)).is_err() {
-                shard.counters.degraded += 1;
+            cache.counters.quarantined += 1;
+            if Self::with_retry(cfg, cache, |s| s.evict(key)).is_err() {
+                cache.counters.degraded += 1;
             }
         }
         ok
@@ -570,24 +495,24 @@ impl CompileService {
 
     /// Turns one fresh compilation into an outcome: reject it if a
     /// deadline cut it short, otherwise serve it and try to install it
-    /// into its shard.
+    /// into the store.
     fn commit_fresh(
         cfg: &ServiceConfig,
-        shard: &mut Shard,
+        cache: &mut Cache,
         key: StoreKey,
         level: OptLevel,
         g: &Graph,
         stats: &PhaseStats,
     ) -> CompileOutcome {
         if stats.hit_deadline() {
-            shard.counters.deadline_exceeded += 1;
+            cache.counters.deadline_exceeded += 1;
             return Err(ServiceError::DeadlineExceeded);
         }
         let artifact = CompiledArtifact::from_compiled(key, level, g, stats);
         if stats.stopped_early().is_none() {
-            match Self::with_retry(cfg, shard, |s| s.put(&key, &artifact.serialize())) {
-                Ok(()) => shard.counters.puts += 1,
-                Err(_) => shard.counters.degraded += 1,
+            match Self::with_retry(cfg, cache, |s| s.put(&key, &artifact.serialize())) {
+                Ok(()) => cache.counters.puts += 1,
+                Err(_) => cache.counters.degraded += 1,
             }
         }
         // Non-deadline early stops (e.g. fuel exhaustion) are
@@ -758,6 +683,54 @@ mod tests {
         ));
     }
 
+    /// Inline IR that parses but fails `verify` is a bad request: it is
+    /// neither compiled nor served nor put into the store.
+    #[test]
+    fn ir_text_that_fails_verify_is_a_bad_request() {
+        let probes = [
+            // use before def
+            "func @p(x: int) {\nentry:\n  s: int = add x, y\n  y: int = const 1\n  return s\n}\n",
+            // a use its def does not dominate
+            "func @p(x: int) {\nentry:\n  zero: int = const 0\n  c: bool = cmp gt x, zero\n  \
+             branch c, bt, bf, prob 0.5\nbt:\n  y: int = const 1\n  jump bm\nbf:\n  jump bm\n\
+             bm:\n  s: int = add x, y\n  return s\n}\n",
+            // `add` on a bool
+            "func @p(x: int) {\nentry:\n  zero: int = const 0\n  c: bool = cmp gt x, zero\n  \
+             s: int = add c, x\n  return s\n}\n",
+            // an int branch condition
+            "func @p(x: int) {\nentry:\n  branch x, bt, bf, prob 0.5\nbt:\n  return x\n\
+             bf:\n  return x\n}\n",
+            // a probability outside [0, 1]
+            "func @p(x: int) {\nentry:\n  zero: int = const 0\n  c: bool = cmp gt x, zero\n  \
+             branch c, bt, bf, prob 2.0\nbt:\n  return x\nbf:\n  return zero\n}\n",
+            // a value defined in terms of itself
+            "func @p(x: int) {\nentry:\n  a: int = add a, x\n  return a\n}\n",
+        ];
+        for ir in probes {
+            let svc = service();
+            let r = CompileRequest {
+                source: CompileSource::IrText(ir.into()),
+                level: OptLevel::Dbds,
+                deadline_ms: None,
+            };
+            for _ in 0..3 {
+                match &svc.compile_batch(std::slice::from_ref(&r))[0] {
+                    Err(ServiceError::BadRequest(msg)) => {
+                        assert!(msg.contains("does not verify"), "{msg}");
+                    }
+                    other => panic!("expected BadRequest for\n{ir}\ngot {other:?}"),
+                }
+            }
+            let c = svc.counters();
+            assert_eq!(
+                (c.requests, c.bad_requests, c.misses, c.puts, c.quarantined),
+                (3, 3, 0, 0, 0),
+                "{ir}"
+            );
+            assert_eq!(svc.store_health().entries, 0, "{ir}");
+        }
+    }
+
     #[test]
     fn retry_backoff_is_linear_clamped_and_never_panics() {
         let step = Duration::from_millis(5);
@@ -772,35 +745,6 @@ mod tests {
         assert_eq!(retry_backoff(step, u32::MAX), step * BACKOFF_CAP_STEPS);
         // `Duration::MAX * 2` would panic; saturating_mul must not.
         assert_eq!(retry_backoff(Duration::MAX, u32::MAX), Duration::MAX);
-    }
-
-    #[test]
-    fn sharded_service_counters_match_single_shard() {
-        let single = service();
-        let sharded = CompileService::with_shards(
-            (0..4)
-                .map(|_| Box::new(MemStore::new()) as Box<dyn CompiledStore>)
-                .collect(),
-            DbdsConfig::default(),
-            ServiceConfig::default(),
-        );
-        let reqs = [
-            req("wordcount", OptLevel::Dbds),
-            req("wordcount", OptLevel::Dupalot),
-            req("charcount", OptLevel::Dbds),
-            req("no-such-benchmark", OptLevel::Dbds),
-            req("wordcount", OptLevel::Dbds),
-        ];
-        let a: Vec<_> = single.compile_batch(&reqs);
-        let b: Vec<_> = sharded.compile_batch(&reqs);
-        assert_eq!(a, b, "outcomes must not depend on the shard count");
-        assert_eq!(
-            single.counters(),
-            sharded.counters(),
-            "summed counters must not depend on the shard count"
-        );
-        let again = sharded.compile_batch(&reqs[..3]);
-        assert!(again.iter().all(|o| o.as_ref().is_ok_and(|s| s.cached)));
     }
 
     #[test]

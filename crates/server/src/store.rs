@@ -166,10 +166,6 @@ impl CompiledStore for MemStore {
 pub struct DiskStore {
     dir: PathBuf,
     quarantined: u64,
-    /// The shard this backend serves in a sharded store (0 for
-    /// unsharded stores); identifies the backend to the shard-targeted
-    /// fault-injection sites.
-    shard: u32,
 }
 
 impl DiskStore {
@@ -177,29 +173,19 @@ impl DiskStore {
     /// recovery scan: stray temp files from writers that died
     /// mid-install are deleted, and every entry whose header or
     /// checksum does not validate is moved into `dir/quarantine/`.
+    /// Only files directly in `dir` are entries: subdirectories (such
+    /// as the `shard-<i>/` directories of an older layout) are ignored.
     ///
     /// # Errors
     ///
     /// Returns a [`StoreError`] when the directory cannot be created
     /// or scanned at all.
     pub fn open(dir: impl Into<PathBuf>) -> Result<DiskStore, StoreError> {
-        DiskStore::open_shard(dir, 0)
-    }
-
-    /// [`DiskStore::open`] for shard `shard` of a sharded store: same
-    /// behaviour, but store-fault injection sites see the shard id.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`StoreError`] when the directory cannot be created
-    /// or scanned at all.
-    pub fn open_shard(dir: impl Into<PathBuf>, shard: u32) -> Result<DiskStore, StoreError> {
         let dir = dir.into();
         fs::create_dir_all(&dir).map_err(|e| StoreError(format!("create {dir:?}: {e}")))?;
         let mut store = DiskStore {
             dir,
             quarantined: 0,
-            shard,
         };
         store.recover()?;
         Ok(store)
@@ -222,8 +208,8 @@ impl DiskStore {
             let Some(stem) = name.strip_suffix(ENTRY_SUFFIX) else {
                 continue;
             };
-            let valid = stem.parse::<StoreKey>().is_ok()
-                && matches!(read_entry_file(&path, self.shard), Ok(Some(_)));
+            let valid =
+                stem.parse::<StoreKey>().is_ok() && matches!(read_entry_file(&path), Ok(Some(_)));
             if !valid {
                 self.quarantine(&name);
             }
@@ -267,16 +253,14 @@ impl DiskStore {
 /// Reads and validates one entry file: `Ok(Some(payload))` when intact,
 /// `Ok(None)` when structurally corrupt (bad magic, length mismatch,
 /// checksum mismatch), `Err` when unreadable.
-fn read_entry_file(path: &Path, shard: u32) -> Result<Option<Vec<u8>>, String> {
-    #[cfg(not(feature = "fault-injection"))]
-    let _ = shard;
+fn read_entry_file(path: &Path) -> Result<Option<Vec<u8>>, String> {
     let mut bytes = Vec::new();
     fs::File::open(path)
         .and_then(|mut f| f.read_to_end(&mut bytes))
         .map_err(|e| format!("open {path:?}: {e}"))?;
     // Bit-flip-on-read fault: media corruption between disk and reader.
     #[cfg(feature = "fault-injection")]
-    if !bytes.is_empty() && take_store_fault(StoreOp::Get, shard) == Some(StoreFault::BitFlipRead) {
+    if !bytes.is_empty() && take_store_fault(StoreOp::Get) == Some(StoreFault::BitFlipRead) {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
     }
@@ -313,7 +297,7 @@ impl CompiledStore for DiskStore {
         if !path.exists() {
             return Ok(None);
         }
-        match read_entry_file(&path, self.shard) {
+        match read_entry_file(&path) {
             Ok(Some(payload)) => Ok(Some(payload)),
             Ok(None) => {
                 // Corrupt: heal by quarantine + miss; the service
@@ -327,7 +311,7 @@ impl CompiledStore for DiskStore {
 
     fn put(&mut self, key: &StoreKey, payload: &[u8]) -> Result<(), StoreError> {
         #[cfg(feature = "fault-injection")]
-        let fault = take_store_fault(StoreOp::Put, self.shard);
+        let fault = take_store_fault(StoreOp::Put);
         #[cfg(not(feature = "fault-injection"))]
         let fault: Option<()> = None;
 
@@ -574,140 +558,6 @@ impl CompiledStore for BoundedStore {
     }
 }
 
-/// A tiered read path: an in-memory front cache over a durable back
-/// store. Writes go through to the back first (durability), then fill
-/// the front; reads hit the front and fall back to the back, filling
-/// the front on the way out. The back's heal path is untouched — the
-/// front only ever holds bytes the back served intact, so the front is
-/// always a subset of the back's live entries.
-pub struct TieredStore {
-    front: MemStore,
-    back: Box<dyn CompiledStore>,
-}
-
-impl TieredStore {
-    /// Puts a fresh in-memory front in front of `back`.
-    pub fn new(back: Box<dyn CompiledStore>) -> TieredStore {
-        TieredStore {
-            front: MemStore::new(),
-            back,
-        }
-    }
-}
-
-impl fmt::Debug for TieredStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TieredStore")
-            .field("front", &self.front)
-            .field("back", &self.back.backend())
-            .finish_non_exhaustive()
-    }
-}
-
-impl CompiledStore for TieredStore {
-    fn backend(&self) -> &'static str {
-        "tiered"
-    }
-
-    fn get(&mut self, key: &StoreKey) -> Result<Option<Vec<u8>>, StoreError> {
-        if let Some(payload) = self.front.get(key)? {
-            return Ok(Some(payload));
-        }
-        let out = self.back.get(key)?;
-        if let Some(payload) = &out {
-            self.front.put(key, payload)?;
-        }
-        Ok(out)
-    }
-
-    fn put(&mut self, key: &StoreKey, payload: &[u8]) -> Result<(), StoreError> {
-        self.back.put(key, payload)?;
-        self.front.put(key, payload)
-    }
-
-    fn evict(&mut self, key: &StoreKey) -> Result<bool, StoreError> {
-        let in_front = self.front.evict(key)?;
-        Ok(self.back.evict(key)? || in_front)
-    }
-
-    fn keys(&mut self) -> Result<Vec<StoreKey>, StoreError> {
-        self.back.keys()
-    }
-
-    fn health(&mut self) -> StoreHealth {
-        self.back.health()
-    }
-}
-
-/// A key-prefix-routed composite: requests go to the shard chosen by
-/// [`StoreKey::shard`], so each underlying backend serves a disjoint,
-/// stable slice of the key space. With any shard count the composite is
-/// observably identical to a single store fed the same operations
-/// (gated by `tests/shard_parity.rs`) — the shards only partition the
-/// data, they never change what a get observes.
-pub struct ShardedStore {
-    shards: Vec<Box<dyn CompiledStore>>,
-}
-
-impl ShardedStore {
-    /// Builds the composite over `shards` backends (at least one).
-    pub fn new(shards: Vec<Box<dyn CompiledStore>>) -> ShardedStore {
-        assert!(!shards.is_empty(), "a sharded store needs >= 1 shard");
-        ShardedStore { shards }
-    }
-
-    fn route(&mut self, key: &StoreKey) -> &mut Box<dyn CompiledStore> {
-        let i = key.shard(self.shards.len());
-        &mut self.shards[i]
-    }
-}
-
-impl fmt::Debug for ShardedStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ShardedStore")
-            .field("shards", &self.shards.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl CompiledStore for ShardedStore {
-    fn backend(&self) -> &'static str {
-        self.shards[0].backend()
-    }
-
-    fn get(&mut self, key: &StoreKey) -> Result<Option<Vec<u8>>, StoreError> {
-        self.route(key).get(key)
-    }
-
-    fn put(&mut self, key: &StoreKey, payload: &[u8]) -> Result<(), StoreError> {
-        self.route(key).put(key, payload)
-    }
-
-    fn evict(&mut self, key: &StoreKey) -> Result<bool, StoreError> {
-        self.route(key).evict(key)
-    }
-
-    fn keys(&mut self) -> Result<Vec<StoreKey>, StoreError> {
-        let mut keys = Vec::new();
-        for shard in &mut self.shards {
-            keys.extend(shard.keys()?);
-        }
-        keys.sort();
-        Ok(keys)
-    }
-
-    fn health(&mut self) -> StoreHealth {
-        let mut total = StoreHealth::default();
-        for shard in &mut self.shards {
-            let health = shard.health();
-            total.entries += health.entries;
-            total.quarantined += health.quarantined;
-            total.evictions += health.evictions;
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -880,28 +730,22 @@ mod tests {
     }
 
     #[test]
-    fn tiered_store_fills_front_and_writes_through() {
-        let dir = tmpdir("tiered");
-        let mut s = TieredStore::new(Box::new(DiskStore::open(&dir).unwrap()));
-        s.put(&key(1), b"payload").unwrap();
-        // The write went through to disk: delete the file behind the
-        // store's back and the front still serves.
-        let path = dir.join(format!("{}{ENTRY_SUFFIX}", key(1)));
-        assert!(path.exists(), "write-through must hit disk");
-        fs::remove_file(&path).unwrap();
-        assert_eq!(s.get(&key(1)).unwrap().as_deref(), Some(&b"payload"[..]));
-
-        // A fresh tier over the same dir starts cold and falls back to
-        // the disk copy, filling the front on the way out.
-        let mut s = TieredStore::new(Box::new(DiskStore::open(&dir).unwrap()));
-        s.put(&key(2), b"warm me").unwrap();
-        let mut cold = TieredStore::new(Box::new(DiskStore::open(&dir).unwrap()));
-        assert_eq!(cold.get(&key(2)).unwrap().as_deref(), Some(&b"warm me"[..]));
-        assert_eq!(
-            cold.front.get(&key(2)).unwrap().as_deref(),
-            Some(&b"warm me"[..])
-        );
-        assert!(s.evict(&key(2)).unwrap());
+    fn entries_in_subdirectories_are_ignored_not_served() {
+        let dir = tmpdir("subdir");
+        {
+            // An entry in a `shard-0/` directory, as an older layout
+            // wrote it.
+            let mut old = DiskStore::open(dir.join("shard-0")).unwrap();
+            old.put(&key(9), b"older layout").unwrap();
+        }
+        let mut s = DiskStore::open(&dir).unwrap();
+        assert_eq!(s.keys().unwrap(), vec![]);
+        assert_eq!(s.get(&key(9)).unwrap(), None);
+        assert_eq!(s.health().quarantined, 0, "left alone, not quarantined");
+        assert!(dir
+            .join("shard-0")
+            .join(format!("{}{ENTRY_SUFFIX}", key(9)))
+            .exists());
         let _ = fs::remove_dir_all(&dir);
     }
 

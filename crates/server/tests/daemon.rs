@@ -172,28 +172,6 @@ fn concurrent_clients_never_exceed_the_admission_bound() {
     handle.join();
 }
 
-/// The same request sequence must produce byte-identical status output
-/// whether one dispatcher owns every shard or four split them.
-#[test]
-fn status_is_identical_across_dispatcher_counts() {
-    let status_with = |dispatchers: usize| {
-        let handle = serve(ServerConfig {
-            dispatchers,
-            ..ServerConfig::default()
-        })
-        .expect("serve");
-        let mut client = Client::connect(&handle.addr).expect("connect");
-        for name in ["wordcount", "charcount", "wordcount", "no-such-workload"] {
-            let _ = client.compile(compile_req(name)).expect("rpc");
-        }
-        let status = client.status().expect("status").pretty();
-        client.shutdown().expect("shutdown");
-        handle.join();
-        status
-    };
-    assert_eq!(status_with(1), status_with(4));
-}
-
 #[test]
 fn disk_store_persists_across_daemon_restarts() {
     let dir = std::env::temp_dir().join(format!("dbds-daemon-store-{}", std::process::id()));

@@ -3,11 +3,12 @@
 //! arbitrary operation sequences — including after the on-disk backend
 //! is "crashed" (dropped with a stray temp file planted, as a writer
 //! dying mid-install would leave it) and reopened through its recovery
-//! scan.
+//! scan. The same holds with a [`BoundedStore`] over each backend,
+//! eviction victims included.
 
-use dbds_server::{CompiledStore, DiskStore, MemStore, StoreKey};
+use dbds_server::{BoundedStore, CompiledStore, DiskStore, MemStore, StoreKey};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One step of a random store script. Keys and payloads come from a
@@ -60,6 +61,36 @@ fn fresh_dir() -> PathBuf {
     dir
 }
 
+/// What a writer killed mid-install leaves behind.
+fn plant_stray_tmp(dir: &Path) {
+    std::fs::write(
+        dir.join(format!("{}.tmp4242", key(0))),
+        b"torn half-written entry",
+    )
+    .expect("plant stray tmp");
+}
+
+/// The bounded-store budget: payloads are about 31 bytes, so two
+/// entries fit and puts under pressure run the eviction clock.
+const BUDGET: u64 = 60;
+
+fn open_bounded_disk(dir: &Path) -> BoundedStore {
+    let disk = DiskStore::open(dir).expect("open disk store");
+    BoundedStore::new(Box::new(disk), BUDGET).expect("bound disk store")
+}
+
+/// The in-memory side of a crash: a new bounded store over exactly the
+/// live entries, the state the reopened disk side reseeds its clock
+/// from.
+fn reopen_bounded_mem(old: &mut BoundedStore) -> BoundedStore {
+    let mut mem = MemStore::new();
+    for k in old.keys().expect("mem keys") {
+        let live = old.get(&k).expect("mem get").expect("listed entry");
+        mem.put(&k, &live).expect("mem put");
+    }
+    BoundedStore::new(Box::new(mem), BUDGET).expect("bound mem store")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -93,12 +124,7 @@ proptest! {
                 }
                 Op::CrashAndReopen => {
                     drop(disk);
-                    // What a writer killed mid-install leaves behind.
-                    std::fs::write(
-                        dir.join(format!("{}.tmp4242", key(0))),
-                        b"torn half-written entry",
-                    )
-                    .expect("plant stray tmp");
+                    plant_stray_tmp(&dir);
                     disk = DiskStore::open(&dir).expect("reopen disk store");
                     prop_assert_eq!(
                         disk.health().quarantined, 0,
@@ -108,6 +134,74 @@ proptest! {
             }
         }
         // Final state must agree in full.
+        prop_assert_eq!(mem.keys().expect("mem keys"), disk.keys().expect("disk keys"));
+        for k in 0u8..6 {
+            prop_assert_eq!(
+                mem.get(&key(k)).expect("mem get"),
+                disk.get(&key(k)).expect("disk get"),
+                "final get({}) diverged", k
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A bounded disk store evicts exactly what a bounded memory store
+    /// evicts: same hits, same victims after every put, same eviction
+    /// counts, across crash-and-reopen (both clocks reseed from the
+    /// sorted live keys).
+    #[test]
+    fn bounded_disk_and_bounded_mem_agree(
+        ops in proptest::collection::vec(op_strategy(), 1..40)
+    ) {
+        let dir = fresh_dir();
+        let mut mem = BoundedStore::new(Box::new(MemStore::new()), BUDGET).expect("bound mem");
+        let mut disk = open_bounded_disk(&dir);
+        for (i, op) in ops.iter().enumerate() {
+            match op {
+                Op::Put(k, v) => {
+                    mem.put(&key(*k), &payload(*k, *v)).expect("mem put");
+                    disk.put(&key(*k), &payload(*k, *v)).expect("disk put");
+                    prop_assert_eq!(
+                        mem.keys().expect("mem keys"),
+                        disk.keys().expect("disk keys"),
+                        "victims diverged at step {}", i
+                    );
+                }
+                Op::Get(k) => {
+                    let m = mem.get(&key(*k)).expect("mem get");
+                    let d = disk.get(&key(*k)).expect("disk get");
+                    prop_assert_eq!(m, d, "get({}) diverged at step {}", k, i);
+                }
+                Op::Evict(k) => {
+                    let m = mem.evict(&key(*k)).expect("mem evict");
+                    let d = disk.evict(&key(*k)).expect("disk evict");
+                    prop_assert_eq!(m, d, "evict({}) diverged at step {}", k, i);
+                }
+                Op::Keys => {
+                    prop_assert_eq!(
+                        mem.keys().expect("mem keys"),
+                        disk.keys().expect("disk keys"),
+                        "keys() diverged at step {}", i
+                    );
+                }
+                Op::CrashAndReopen => {
+                    drop(disk);
+                    plant_stray_tmp(&dir);
+                    disk = open_bounded_disk(&dir);
+                    mem = reopen_bounded_mem(&mut mem);
+                    prop_assert_eq!(
+                        disk.health().quarantined, 0,
+                        "recovery scan quarantined a healthy entry at step {}", i
+                    );
+                }
+            }
+            // Eviction counters restart on reopen, on both sides.
+            prop_assert_eq!(
+                mem.health().evictions,
+                disk.health().evictions,
+                "eviction count diverged at step {}", i
+            );
+        }
         prop_assert_eq!(mem.keys().expect("mem keys"), disk.keys().expect("disk keys"));
         for k in 0u8..6 {
             prop_assert_eq!(
