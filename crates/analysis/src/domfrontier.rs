@@ -13,9 +13,8 @@
 //! of branches that decide whether `b` executes, which is exactly the
 //! control-dependence relation read the other way around.
 
-use crate::domtree::DomTree;
 use crate::postdom::PostDomTree;
-use dbds_ir::{BlockId, Graph};
+use dbds_ir::{BlockId, DomTree, Graph};
 
 /// Dominance and post-dominance frontiers over the reachable blocks of a
 /// [`Graph`]. Frontier sets are sorted by block index and deduplicated.

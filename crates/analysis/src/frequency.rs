@@ -14,9 +14,8 @@
 //! flow conserved: the code after a loop runs as often as the code before
 //! it, no matter how hot the loop body is.
 
-use crate::domtree::DomTree;
 use crate::loops::LoopForest;
-use dbds_ir::{BlockId, Graph, Terminator};
+use dbds_ir::{BlockId, DomTree, Graph, Terminator};
 
 /// Assumed iterations per loop when the profile gives no exit estimate.
 pub const LOOP_FACTOR: f64 = 10.0;

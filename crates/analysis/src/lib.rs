@@ -2,7 +2,8 @@
 //!
 //! The analysis substrate of the DBDS reproduction: dominator trees
 //! ([`DomTree`], the backbone of the paper's dominance-based simulation
-//! traversal), natural-loop detection ([`LoopForest`]), profile-derived
+//! traversal; defined in `dbds-ir` next to the verifier that checks SSA
+//! dominance against it, and re-exported here), natural-loop detection ([`LoopForest`]), profile-derived
 //! block execution frequencies ([`BlockFrequencies`], the `p` of the
 //! `shouldDuplicate` heuristic), and value [`Stamp`]s with the refinement
 //! rules conditional elimination applies along dominating conditions.
@@ -40,7 +41,6 @@
 mod cache;
 mod controldep;
 mod domfrontier;
-mod domtree;
 mod frequency;
 mod loops;
 mod postdom;
@@ -48,8 +48,8 @@ mod stamps;
 
 pub use cache::{AnalysisCache, CacheStats};
 pub use controldep::ControlDepGraph;
+pub use dbds_ir::{reverse_postorder, DomTree};
 pub use domfrontier::DomFrontiers;
-pub use domtree::{reverse_postorder, DomTree};
 pub use frequency::{edge_probability, BlockFrequencies, LOOP_FACTOR, MAX_FREQUENCY};
 pub use loops::{LoopForest, LoopInfo};
 pub use postdom::PostDomTree;

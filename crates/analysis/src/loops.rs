@@ -5,8 +5,7 @@
 //! Block frequencies use the depth to scale loop bodies the way HotSpot
 //! profiles would.
 
-use crate::domtree::DomTree;
-use dbds_ir::{BlockId, Graph};
+use dbds_ir::{BlockId, DomTree, Graph};
 
 /// One natural loop.
 #[derive(Clone, Debug)]

@@ -12,8 +12,7 @@
 //! postorder) to the virtual exit as a pseudo-exit, so the tree always
 //! covers every entry-reachable block.
 
-use crate::domtree::reverse_postorder;
-use dbds_ir::{BlockId, Graph};
+use dbds_ir::{reverse_postorder, BlockId, Graph};
 
 /// The internal parent index of a block whose immediate post-dominator is
 /// the virtual exit.

@@ -137,22 +137,25 @@ fn definition_frontier(g: &Graph, dt: &DomTree, b: BlockId) -> Vec<BlockId> {
 ///    into an in-loop predecessor re-roots the loop's dominance), the
 ///    frontiers legitimately diverge and only layer 1 applies.
 ///
+/// `dt` must be the dominator tree of `g` as it stands; the
+/// per-duplication checkpoint builds it once and shares it with
+/// [`dbds_ir::verify_with`].
+///
 /// Returns `None` when the invariant holds, and also when `merge` has
 /// become unreachable (it then has no frontier to compare; a real
 /// duplication never strands a reachable merge, so that case only
 /// arises on hand-mutated graphs).
-pub fn lint_frontier(g: &Graph, copy: BlockId, merge: BlockId) -> Option<Diagnostic> {
-    let dt = DomTree::compute(g);
+pub fn lint_frontier(g: &Graph, dt: &DomTree, copy: BlockId, merge: BlockId) -> Option<Diagnostic> {
     // An unreachable merge has an empty frontier by construction, not
     // by defect.
     if !dt.is_reachable(merge) {
         return None;
     }
     // Only forward frontiers are compared, so no post-dominator tree.
-    let df = DomFrontiers::forward(g, &dt);
+    let df = DomFrontiers::forward(g, dt);
     let df = |b: BlockId| &df[b.index()];
     for b in [copy, merge] {
-        let reference = definition_frontier(g, &dt, b);
+        let reference = definition_frontier(g, dt, b);
         if reference != *df(b) {
             return Some(Diagnostic::new(
                 LintId::FrontierViolation,
@@ -252,7 +255,8 @@ mod tests {
         // and bm (frontier {}) are not a copy/merge pair, so the check
         // must flag them.
         let (g, bt, _bf, bm) = diamond();
-        let d = lint_frontier(&g, bt, bm).expect("mismatched frontiers must be flagged");
+        let d = lint_frontier(&g, &DomTree::compute(&g), bt, bm)
+            .expect("mismatched frontiers must be flagged");
         assert_eq!(d.lint, LintId::FrontierViolation);
         assert!(d.message.starts_with("frontier-violation"), "{}", d.message);
     }
@@ -261,7 +265,7 @@ mod tests {
     fn genuine_duplication_satisfies_the_frontier_invariant() {
         let (mut g, bt, _bf, bm) = diamond();
         let dup = crate::transform::duplicate(&mut g, bt, bm);
-        assert!(lint_frontier(&g, dup.copy, dup.merge).is_none());
+        assert!(lint_frontier(&g, &DomTree::compute(&g), dup.copy, dup.merge).is_none());
     }
 
     #[test]
@@ -288,7 +292,7 @@ mod tests {
         b.ret(Some(i));
         let mut g = b.finish();
         let dup = crate::transform::duplicate(&mut g, body, header);
-        assert!(lint_frontier(&g, dup.copy, dup.merge).is_none());
+        assert!(lint_frontier(&g, &DomTree::compute(&g), dup.copy, dup.merge).is_none());
     }
 
     #[test]
@@ -297,7 +301,7 @@ mod tests {
         let (mut g, bt, _bf, _bm) = diamond();
         let orphan = g.add_block();
         g.set_terminator(orphan, dbds_ir::Terminator::Return { value: None });
-        assert!(lint_frontier(&g, bt, orphan).is_none());
+        assert!(lint_frontier(&g, &DomTree::compute(&g), bt, orphan).is_none());
     }
 
     #[test]

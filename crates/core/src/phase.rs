@@ -20,7 +20,7 @@ use crate::tradeoff::{select_with_rejections, SelectionMode, TradeoffConfig};
 use crate::transform::{duplicate, try_duplicate, Duplication};
 use dbds_analysis::{AnalysisCache, CacheStats};
 use dbds_costmodel::CostModel;
-use dbds_ir::{BlockId, Graph};
+use dbds_ir::{verify_with, BlockId, DomTree, Graph};
 use dbds_opt::{optimize_full, optimize_once, OptKind};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
@@ -780,16 +780,20 @@ fn apply_chain(
     let (result, txn_ns) = transact(g, |g| {
         let verified = |g: &Graph, dup: &Duplication, guard: &mut u128| {
             let tg = Instant::now();
-            let ck = checkpoint(g).and_then(|()| {
-                // Structural frontier check on top of the verifier: the
-                // copy's and merge's dominance frontiers must be
-                // consistent with the edge mirrors, and equal whenever
-                // neither block dominates the other (see `lint_frontier`).
-                match crate::lint::lint_frontier(g, dup.copy, dup.merge) {
-                    Some(d) => Err(BailoutReason::VerifierRejected(d.message)),
-                    None => Ok(()),
-                }
-            });
+            // One dominator tree serves both checks.
+            let dt = DomTree::compute(g);
+            let ck = verify_with(g, &dt)
+                .map_err(|e| BailoutReason::VerifierRejected(e.summary()))
+                .and_then(|()| {
+                    // Structural frontier check on top of the verifier: the
+                    // copy's and merge's dominance frontiers must be
+                    // consistent with the edge mirrors, and equal whenever
+                    // neither block dominates the other (see `lint_frontier`).
+                    match crate::lint::lint_frontier(g, &dt, dup.copy, dup.merge) {
+                        Some(d) => Err(BailoutReason::VerifierRejected(d.message)),
+                        None => Ok(()),
+                    }
+                });
             *guard += tg.elapsed().as_nanos();
             ck
         };

@@ -1,11 +1,18 @@
 //! Dominator tree construction and queries.
 //!
 //! Uses the Cooper–Harvey–Kennedy iterative algorithm over a reverse
-//! postorder of the CFG, then numbers the dominator tree with an Euler
-//! interval so that [`DomTree::dominates`] is O(1). The DBDS simulation
-//! tier (§4.1 of the paper) is a depth-first traversal of this tree.
+//! postorder of the CFG, then numbers the dominator tree in preorder:
+//! every block owns the interval `[pre, pre + size)` of its subtree, so
+//! [`DomTree::dominates`] is two comparisons. The DBDS simulation tier
+//! (§4.1 of the paper) is a depth-first traversal of this tree, and the
+//! verifier's SSA-dominance check queries it.
+//!
+//! The tree is also built on graphs the verifier is about to reject, so
+//! it tolerates predecessor and successor lists that disagree: a block
+//! whose idom chain does not follow reverse postorder stays outside the
+//! numbering, and its dominance queries walk the idom chain instead.
 
-use dbds_ir::{BlockId, Graph};
+use crate::{BlockId, Graph};
 
 /// A dominator tree over the reachable blocks of a [`Graph`].
 #[derive(Clone, Debug)]
@@ -13,16 +20,18 @@ pub struct DomTree {
     /// Immediate dominator per block (`None` for the entry block and for
     /// unreachable blocks).
     idom: Vec<Option<BlockId>>,
-    /// Children in the dominator tree.
-    children: Vec<Vec<BlockId>>,
+    /// Children in the dominator tree, flattened: the children of `b`
+    /// are `child_list[child_start[b]..child_start[b + 1]]`.
+    child_start: Vec<usize>,
+    child_list: Vec<BlockId>,
     /// Reverse postorder of the reachable blocks.
     rpo: Vec<BlockId>,
     /// Position of each block in `rpo` (`usize::MAX` if unreachable).
     rpo_index: Vec<usize>,
-    /// Euler-tour entry time per block in the dominator tree.
+    /// Dominator-tree preorder number (`usize::MAX` outside the tree).
     pre: Vec<usize>,
-    /// Euler-tour exit time per block in the dominator tree.
-    post: Vec<usize>,
+    /// Number of blocks in the dominator subtree.
+    size: Vec<usize>,
 }
 
 impl DomTree {
@@ -62,42 +71,69 @@ impl DomTree {
         // The entry's self-idom is an algorithmic artifact; expose None.
         idom[g.entry().index()] = None;
 
-        let mut children: Vec<Vec<BlockId>> = vec![Vec::new(); n];
+        // Children in reverse postorder, counted first and then filled.
+        let mut child_start = vec![0; n + 1];
         for &b in &rpo {
             if let Some(p) = idom[b.index()] {
-                children[p.index()].push(b);
+                child_start[p.index() + 1] += 1;
+            }
+        }
+        for i in 0..n {
+            child_start[i + 1] += child_start[i];
+        }
+        let mut cursor = child_start.clone();
+        let mut child_list = vec![g.entry(); child_start[n]];
+        for &b in &rpo {
+            if let Some(p) = idom[b.index()] {
+                child_list[cursor[p.index()]] = b;
+                cursor[p.index()] += 1;
             }
         }
 
-        // Euler tour for O(1) dominance queries.
-        let mut pre = vec![usize::MAX; n];
-        let mut post = vec![usize::MAX; n];
-        let mut clock = 0;
-        let mut stack: Vec<(BlockId, usize)> = vec![(g.entry(), 0)];
-        pre[g.entry().index()] = clock;
-        clock += 1;
-        while let Some(&mut (b, ref mut next)) = stack.last_mut() {
-            let ch = &children[b.index()];
-            if *next < ch.len() {
-                let c = ch[*next];
-                *next += 1;
-                pre[c.index()] = clock;
-                clock += 1;
-                stack.push((c, 0));
-            } else {
-                post[b.index()] = clock;
-                clock += 1;
-                stack.pop();
+        // Preorder intervals. A tree parent must precede its child in
+        // reverse postorder; that holds for every reachable block unless
+        // the pred and succ lists disagree, and a block whose idom chain
+        // breaks it stays outside the tree (its queries walk the chain).
+        // Subtree sizes accumulate bottom-up over the reversed order, and
+        // each parent hands its children consecutive slots after its own,
+        // in reverse postorder: the depth-first preorder that visits
+        // children in [`DomTree::children`] order.
+        let parent = |b: BlockId| match idom[b.index()] {
+            Some(p) if rpo_index[p.index()] < rpo_index[b.index()] => Some(p),
+            _ => None,
+        };
+        let mut in_tree = vec![false; n];
+        in_tree[g.entry().index()] = true;
+        for &b in rpo.iter().skip(1) {
+            in_tree[b.index()] = parent(b).is_some_and(|p| in_tree[p.index()]);
+        }
+        let mut size = vec![0; n];
+        for &b in rpo.iter().rev().filter(|b| in_tree[b.index()]) {
+            size[b.index()] += 1;
+            if let Some(p) = parent(b) {
+                size[p.index()] += size[b.index()];
             }
+        }
+        let mut pre = vec![usize::MAX; n];
+        let mut next_slot = vec![0; n];
+        for &b in rpo.iter().filter(|b| in_tree[b.index()]) {
+            let slot = parent(b).map_or(0, |p| {
+                let slot = next_slot[p.index()];
+                next_slot[p.index()] += size[b.index()];
+                slot
+            });
+            pre[b.index()] = slot;
+            next_slot[b.index()] = slot + 1;
         }
 
         DomTree {
             idom,
-            children,
+            child_start,
+            child_list,
             rpo,
             rpo_index,
             pre,
-            post,
+            size,
         }
     }
 
@@ -110,16 +146,41 @@ impl DomTree {
     /// The children of `b` in the dominator tree, ordered by reverse
     /// postorder of the CFG.
     pub fn children(&self, b: BlockId) -> &[BlockId] {
-        &self.children[b.index()]
+        &self.child_list[self.child_start[b.index()]..self.child_start[b.index() + 1]]
     }
 
-    /// Does `a` dominate `b` (reflexively)? O(1). Unreachable blocks
-    /// neither dominate nor are dominated.
+    /// Does `a` dominate `b` (reflexively)? O(1) for blocks inside the
+    /// preorder numbering. Unreachable blocks neither dominate nor are
+    /// dominated.
     pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
         if !self.is_reachable(a) || !self.is_reachable(b) {
             return false;
         }
-        self.pre[a.index()] <= self.pre[b.index()] && self.post[b.index()] <= self.post[a.index()]
+        let (pa, pb) = (self.pre[a.index()], self.pre[b.index()]);
+        if pb == usize::MAX {
+            return self.dominates_by_walk(a, b);
+        }
+        // Every ancestor of a tree block is in the tree, so `a` outside
+        // it (`pa == usize::MAX`) dominates nothing here.
+        pa <= pb && pb < pa + self.size[a.index()]
+    }
+
+    /// [`DomTree::dominates`] by walking `b`'s idom chain: the answer
+    /// for blocks outside the preorder numbering.
+    fn dominates_by_walk(&self, a: BlockId, b: BlockId) -> bool {
+        if !self.is_reachable(a) || !self.is_reachable(b) {
+            return false;
+        }
+        let mut cur = b;
+        loop {
+            if cur == a {
+                return true;
+            }
+            match self.idom[cur.index()] {
+                Some(i) if i != cur => cur = i,
+                _ => return false,
+            }
+        }
     }
 
     /// Does `a` strictly dominate `b`?
@@ -198,7 +259,7 @@ pub fn reverse_postorder(g: &Graph) -> Vec<BlockId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbds_ir::{ClassTable, CmpOp, GraphBuilder, Type};
+    use crate::{ClassTable, CmpOp, GraphBuilder, Terminator, Type};
     use std::sync::Arc;
 
     fn empty_table() -> Arc<ClassTable> {
@@ -314,6 +375,99 @@ mod tests {
         for &b in &pre {
             if let Some(p) = dt.idom(b) {
                 assert!(pos(p) < pos(b));
+            }
+        }
+    }
+
+    /// A random CFG over `n` blocks, built from a small LCG: returns,
+    /// jumps and branches to arbitrary blocks, so back edges (loops),
+    /// edges into the entry and blocks no path reaches all occur.
+    fn random_cfg(seed: u64, n: usize) -> Graph {
+        let mut state = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        let mut next = |bound: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) as usize % bound
+        };
+        let mut g = Graph::new("r", &[Type::Bool], empty_table());
+        let cond = g.param_values()[0];
+        let blocks: Vec<BlockId> = std::iter::once(g.entry())
+            .chain((1..n).map(|_| g.add_block()))
+            .collect();
+        for &b in &blocks {
+            let term = match next(4) {
+                0 => Terminator::Return { value: None },
+                1 => Terminator::Jump {
+                    target: blocks[next(n)],
+                },
+                _ => {
+                    let then_bb = blocks[next(n)];
+                    let else_bb = blocks[(then_bb.index() + 1 + next(n - 1)) % n];
+                    Terminator::Branch {
+                        cond,
+                        then_bb,
+                        else_bb,
+                        prob_then: 0.5,
+                    }
+                }
+            };
+            g.set_terminator(b, term);
+        }
+        g
+    }
+
+    #[test]
+    fn interval_dominance_agrees_with_the_idom_chain_walk() {
+        let (mut loops, mut unreachable) = (0, 0);
+        for seed in 0..300 {
+            let g = random_cfg(seed, 2 + seed as usize % 14);
+            let dom = DomTree::compute(&g);
+            for a in g.blocks() {
+                if !dom.is_reachable(a) {
+                    unreachable += 1;
+                    continue;
+                }
+                // Pred and succ lists agree here, so every reachable
+                // block is answered from its interval, not the fallback.
+                assert_ne!(dom.pre[a.index()], usize::MAX, "seed {seed}: {a}");
+                loops += g
+                    .succs(a)
+                    .iter()
+                    .filter(|&&s| dom.rpo_index[s.index()] <= dom.rpo_index[a.index()])
+                    .count();
+            }
+            for a in g.blocks() {
+                for b in g.blocks() {
+                    assert_eq!(
+                        dom.dominates(a, b),
+                        dom.dominates_by_walk(a, b),
+                        "seed {seed}: does {a} dominate {b}?\n{g}"
+                    );
+                }
+            }
+        }
+        assert!(loops > 0 && unreachable > 0, "generator must produce both");
+    }
+
+    #[test]
+    fn preorder_is_the_depth_first_walk_over_children() {
+        for seed in 0..300 {
+            let g = random_cfg(seed, 2 + seed as usize % 14);
+            let dom = DomTree::compute(&g);
+            let mut walk = Vec::new();
+            let mut stack = vec![g.entry()];
+            while let Some(b) = stack.pop() {
+                walk.push(b);
+                stack.extend(dom.children(b).iter().rev());
+            }
+            assert_eq!(dom.preorder(), walk, "seed {seed}\n{g}");
+            for &b in dom.reverse_postorder() {
+                let kids = dom.children(b);
+                assert!(kids.iter().all(|&c| dom.idom(c) == Some(b)));
+                assert!(kids
+                    .windows(2)
+                    .all(|w| dom.rpo_index(w[0]) < dom.rpo_index(w[1])));
             }
         }
     }

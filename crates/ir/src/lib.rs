@@ -12,6 +12,8 @@
 //! - the graph data structure with an invariant-preserving edge-mutation
 //!   API ([`Graph`]),
 //! - an ergonomic [`GraphBuilder`],
+//! - the dominator tree ([`DomTree`]) that the SSA verifier checks
+//!   against and the DBDS simulation tier walks,
 //! - a structural + SSA [`verify`]er,
 //! - a round-trippable textual format ([`print_graph`] / [`parse_module`]),
 //! - a reference interpreter with per-instruction-kind execution counters
@@ -53,6 +55,7 @@
 
 mod builder;
 mod classes;
+mod domtree;
 mod graph;
 mod hash;
 mod ids;
@@ -66,6 +69,7 @@ mod verify;
 
 pub use builder::GraphBuilder;
 pub use classes::{ClassInfo, ClassTable, FieldInfo};
+pub use domtree::{reverse_postorder, DomTree};
 pub use graph::{Graph, GraphSnapshot, InstData, UndoStats};
 pub use hash::{content_hash, fnv1a, Fnv64};
 pub use ids::{BlockId, ClassId, FieldId, InstId};
@@ -73,8 +77,8 @@ pub use inst::{BinOp, CmpOp, Inst, InstKind, KindCounts, Terminator};
 pub use interp::{
     execute, execute_with_heap, ExecResult, Heap, Outcome, Trap, Value, DEFAULT_FUEL,
 };
-pub use lint::{lint, Diagnostic, LintId, LintPass, LintRegistry, LintReport, Severity};
+pub use lint::{lint, Diagnostic, LintId, LintReport, Severity};
 pub use parse::{parse_graph, parse_module, Module, ParseError};
 pub use print::{print_class_table, print_graph};
 pub use types::{ConstValue, Type};
-pub use verify::{verify, VerifyErrors};
+pub use verify::{verify, verify_with, VerifyErrors};

@@ -8,21 +8,25 @@
 //!
 //! - [`Diagnostic`]: one finding — lint id, severity, optional block /
 //!   instruction anchor and the human-readable message.
-//! - [`LintPass`] / [`LintRegistry`]: graph-level passes and the registry
-//!   that runs them. [`LintRegistry::default`] holds every built-in pass;
-//!   higher layers (dbds-analysis' cached-analysis audit, dbds-core's
-//!   cost-sanity and prediction audits) contribute [`Diagnostic`]s for
-//!   the non-graph lints of [`LintId`] through [`LintReport::extend`].
+//! - [`lint`]: runs the built-in graph passes in a fixed order — edge
+//!   bookkeeping, block layout, types, SSA dominance, CFG hygiene and
+//!   reverse-CFG structure. Higher layers (dbds-analysis' cached-analysis
+//!   audit, dbds-core's cost-sanity and prediction audits) contribute
+//!   [`Diagnostic`]s for the non-graph lints of [`LintId`] through
+//!   [`LintReport::extend`].
 //! - [`LintReport`]: the sorted, deterministic result. Diagnostics are
 //!   ordered by (block, instruction, lint, message) regardless of the
 //!   order passes emitted them, so two runs over the same graph render
 //!   byte-identical output.
 //!
 //! [`crate::verify`] is a thin wrapper over this module: it runs the
-//! built-in passes minus the warn-severity work and reports their
-//! messages, so every existing call site (including the bailout
-//! checkpoint path) runs the lint framework's error-severity checks
-//! without paying for the warn-severity ones.
+//! same passes minus the warn-severity work (no hygiene pass, no
+//! [`LintId::NoExitPath`]) and reports their messages, so every call
+//! site (including the bailout checkpoint path) runs the lint
+//! framework's error-severity checks without paying for the
+//! warn-severity ones. [`crate::verify_with`] takes a [`DomTree`] the
+//! caller already built, so a checkpoint that also needs the tree
+//! builds it once.
 //!
 //! # Examples
 //!
@@ -45,7 +49,7 @@
 use crate::ids::{BlockId, InstId};
 use crate::inst::{CmpOp, Inst, Terminator};
 use crate::types::{ConstValue, Type};
-use crate::Graph;
+use crate::{DomTree, Graph};
 use std::fmt;
 
 /// How bad a [`Diagnostic`] is.
@@ -297,90 +301,27 @@ impl fmt::Display for LintReport {
     }
 }
 
-/// One registered graph-level lint pass.
-pub trait LintPass {
-    /// Stable pass name (for listings and debugging).
-    fn name(&self) -> &'static str;
-    /// Runs the pass over `g`, pushing findings into `out`.
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>);
-}
-
-/// The ordered collection of graph-level passes to run.
-pub struct LintRegistry {
-    passes: Vec<Box<dyn LintPass>>,
-}
-
-impl fmt::Debug for LintRegistry {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("LintRegistry")
-            .field("passes", &self.pass_names())
-            .finish()
-    }
-}
-
-impl Default for LintRegistry {
-    /// Every built-in pass: the four soundness checks the verifier always
-    /// ran, plus the CFG-hygiene pass.
-    fn default() -> Self {
-        LintRegistry {
-            passes: vec![
-                Box::new(EdgePass),
-                Box::new(BlockPass),
-                Box::new(TypePass),
-                Box::new(DominancePass),
-                Box::new(HygienePass),
-                Box::new(ReverseCfgPass { warnings: true }),
-            ],
-        }
-    }
-}
-
-impl LintRegistry {
-    /// An empty registry (add passes with [`LintRegistry::register`]).
-    pub fn new() -> Self {
-        LintRegistry { passes: Vec::new() }
-    }
-
-    /// The built-in passes minus every warn-severity finding: the
-    /// hygiene pass is left out and the reverse-CFG pass skips
-    /// [`LintId::NoExitPath`]. Its report equals the error-severity part
-    /// of [`LintRegistry::default`]'s, which is all [`crate::verify`]
-    /// reads.
-    pub(crate) fn errors_only() -> Self {
-        LintRegistry {
-            passes: vec![
-                Box::new(EdgePass),
-                Box::new(BlockPass),
-                Box::new(TypePass),
-                Box::new(DominancePass),
-                Box::new(ReverseCfgPass { warnings: false }),
-            ],
-        }
-    }
-
-    /// Appends a pass to the run order.
-    pub fn register(&mut self, pass: Box<dyn LintPass>) {
-        self.passes.push(pass);
-    }
-
-    /// The registered pass names, in run order.
-    pub fn pass_names(&self) -> Vec<&'static str> {
-        self.passes.iter().map(|p| p.name()).collect()
-    }
-
-    /// Runs every registered pass over `g`.
-    pub fn run(&self, g: &Graph) -> LintReport {
-        let mut out = Vec::new();
-        for pass in &self.passes {
-            pass.run(g, &mut out);
-        }
-        LintReport::from_diagnostics(out)
-    }
-}
-
-/// Runs the default registry (all built-in passes) over `g`.
+/// Runs every built-in pass over `g`.
 pub fn lint(g: &Graph) -> LintReport {
-    LintRegistry::default().run(g)
+    run_passes(g, &DomTree::compute(g), true)
+}
+
+/// Runs the built-in passes in their fixed order. Without `warnings`
+/// every warn-severity finding is skipped: the hygiene pass is left out
+/// and the reverse-CFG pass skips [`LintId::NoExitPath`], so the report
+/// equals the error-severity part of [`lint`]'s, which is all
+/// [`crate::verify_with`] reads. `dt` must be the dominator tree of `g`.
+pub(crate) fn run_passes(g: &Graph, dt: &DomTree, warnings: bool) -> LintReport {
+    let mut out = Vec::new();
+    edges(g, &mut out);
+    blocks(g, &mut out);
+    types(g, &mut out);
+    dominance(g, dt, &mut out);
+    if warnings {
+        hygiene(g, &mut out);
+    }
+    reverse_cfg(g, warnings, &mut out);
+    LintReport::from_diagnostics(out)
 }
 
 /// Shared emit helper for the built-in passes.
@@ -402,37 +343,30 @@ impl Sink<'_> {
 
 /// Edge bookkeeping: pred/succ symmetry, entry predecessors, duplicate
 /// branch targets, branch probabilities, unreachable predecessors.
-struct EdgePass;
-
-impl LintPass for EdgePass {
-    fn name(&self) -> &'static str {
-        "edges"
+fn edges(g: &Graph, out: &mut Vec<Diagnostic>) {
+    let mut s = Sink { out };
+    if !g.preds(g.entry()).is_empty() {
+        s.emit(
+            LintId::GraphConsistency,
+            Some(g.entry()),
+            None,
+            format!("entry {} has predecessors", g.entry()),
+        );
     }
-
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        if !g.preds(g.entry()).is_empty() {
+    for b in g.blocks() {
+        let succs = g.succs(b);
+        if succs.len() == 2 && succs[0] == succs[1] {
             s.emit(
                 LintId::GraphConsistency,
-                Some(g.entry()),
+                Some(b),
                 None,
-                format!("entry {} has predecessors", g.entry()),
+                format!("{b} branches to the same block twice"),
             );
         }
-        for b in g.blocks() {
-            let succs = g.succs(b);
-            if succs.len() == 2 && succs[0] == succs[1] {
+        for succ in &succs {
+            let n = g.preds(*succ).iter().filter(|&&p| p == b).count();
+            if n != 1 {
                 s.emit(
-                    LintId::GraphConsistency,
-                    Some(b),
-                    None,
-                    format!("{b} branches to the same block twice"),
-                );
-            }
-            for succ in &succs {
-                let n = g.preds(*succ).iter().filter(|&&p| p == b).count();
-                if n != 1 {
-                    s.emit(
                         LintId::GraphConsistency,
                         Some(b),
                         None,
@@ -440,45 +374,44 @@ impl LintPass for EdgePass {
                             "edge {b} -> {succ}: successor records {n} matching pred entries, expected 1"
                         ),
                     );
-                }
-            }
-            for &p in g.preds(b) {
-                if !g.succs(p).contains(&b) {
-                    s.emit(
-                        LintId::GraphConsistency,
-                        Some(b),
-                        None,
-                        format!("{b} lists pred {p}, but {p} does not branch to {b}"),
-                    );
-                }
-            }
-            if let Terminator::Branch { prob_then, .. } = g.terminator(b) {
-                if !(0.0..=1.0).contains(prob_then) || prob_then.is_nan() {
-                    s.emit(
-                        LintId::BranchProbability,
-                        Some(b),
-                        None,
-                        format!("{b}: branch probability {prob_then} outside [0,1]"),
-                    );
-                }
             }
         }
-        // Reachable blocks must not have unreachable predecessors: the
-        // cleanup pass must disconnect dead code before verification.
-        let mut reachable = vec![false; g.block_count()];
-        for b in g.reachable_blocks() {
-            reachable[b.index()] = true;
+        for &p in g.preds(b) {
+            if !g.succs(p).contains(&b) {
+                s.emit(
+                    LintId::GraphConsistency,
+                    Some(b),
+                    None,
+                    format!("{b} lists pred {p}, but {p} does not branch to {b}"),
+                );
+            }
         }
-        for b in g.blocks().filter(|b| reachable[b.index()]) {
-            for &p in g.preds(b) {
-                if !reachable[p.index()] {
-                    s.emit(
-                        LintId::GraphConsistency,
-                        Some(b),
-                        None,
-                        format!("reachable {b} has unreachable predecessor {p}"),
-                    );
-                }
+        if let Terminator::Branch { prob_then, .. } = g.terminator(b) {
+            if !(0.0..=1.0).contains(prob_then) || prob_then.is_nan() {
+                s.emit(
+                    LintId::BranchProbability,
+                    Some(b),
+                    None,
+                    format!("{b}: branch probability {prob_then} outside [0,1]"),
+                );
+            }
+        }
+    }
+    // Reachable blocks must not have unreachable predecessors: the
+    // cleanup pass must disconnect dead code before verification.
+    let mut reachable = vec![false; g.block_count()];
+    for b in g.reachable_blocks() {
+        reachable[b.index()] = true;
+    }
+    for b in g.blocks().filter(|b| reachable[b.index()]) {
+        for &p in g.preds(b) {
+            if !reachable[p.index()] {
+                s.emit(
+                    LintId::GraphConsistency,
+                    Some(b),
+                    None,
+                    format!("reachable {b} has unreachable predecessor {p}"),
+                );
             }
         }
     }
@@ -486,358 +419,339 @@ impl LintPass for EdgePass {
 
 /// Block layout: instruction↔block records, φ placement and arity, param
 /// placement, dangling value references.
-struct BlockPass;
-
-impl LintPass for BlockPass {
-    fn name(&self) -> &'static str {
-        "blocks"
-    }
-
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        for b in g.blocks() {
-            let mut seen_non_phi = false;
-            for &i in g.block_insts(b) {
-                if g.block_of(i) != Some(b) {
-                    s.emit(
-                        LintId::GraphConsistency,
-                        Some(b),
-                        Some(i),
-                        format!("{i} listed in {b} but records block {:?}", g.block_of(i)),
-                    );
-                }
-                match g.inst(i) {
-                    Inst::Phi { inputs } => {
-                        if seen_non_phi {
-                            s.emit(
-                                LintId::PhiPlacement,
-                                Some(b),
-                                Some(i),
-                                format!("{b}: phi {i} appears after non-phi instructions"),
-                            );
-                        }
-                        if inputs.len() != g.preds(b).len() {
-                            s.emit(
-                                LintId::PhiPlacement,
-                                Some(b),
-                                Some(i),
-                                format!(
-                                    "{b}: phi {i} has {} inputs but the block has {} predecessors",
-                                    inputs.len(),
-                                    g.preds(b).len()
-                                ),
-                            );
-                        }
-                        if g.preds(b).is_empty() {
-                            s.emit(
-                                LintId::PhiPlacement,
-                                Some(b),
-                                Some(i),
-                                format!("{b}: phi {i} in a block without predecessors"),
-                            );
-                        }
-                    }
-                    Inst::Param(idx) => {
-                        if b != g.entry() {
-                            s.emit(
-                                LintId::ParamPlacement,
-                                Some(b),
-                                Some(i),
-                                format!("param {i} outside the entry block"),
-                            );
-                        }
-                        if *idx as usize >= g.param_types().len() {
-                            s.emit(
-                                LintId::ParamPlacement,
-                                Some(b),
-                                Some(i),
-                                format!("param {i} index {idx} out of range"),
-                            );
-                        } else if g.ty(i) != g.param_types()[*idx as usize] {
-                            s.emit(
-                                LintId::ParamPlacement,
-                                Some(b),
-                                Some(i),
-                                format!("param {i} type mismatch with signature"),
-                            );
-                        }
-                        seen_non_phi = true;
-                    }
-                    _ => seen_non_phi = true,
-                }
-                g.inst(i).for_each_input(|input| {
-                    if input.index() >= g.inst_count() {
-                        s.emit(
-                            LintId::DanglingUse,
-                            Some(b),
-                            Some(i),
-                            format!("{i} references out-of-range value {input}"),
-                        );
-                    } else if g.block_of(input).is_none() {
-                        s.emit(
-                            LintId::DanglingUse,
-                            Some(b),
-                            Some(i),
-                            format!("{i} in {b} uses removed instruction {input}"),
-                        );
-                    }
-                });
+fn blocks(g: &Graph, out: &mut Vec<Diagnostic>) {
+    let mut s = Sink { out };
+    for b in g.blocks() {
+        let mut seen_non_phi = false;
+        for &i in g.block_insts(b) {
+            if g.block_of(i) != Some(b) {
+                s.emit(
+                    LintId::GraphConsistency,
+                    Some(b),
+                    Some(i),
+                    format!("{i} listed in {b} but records block {:?}", g.block_of(i)),
+                );
             }
-            g.terminator(b).for_each_input(|input| {
-                if g.block_of(input).is_none() {
+            match g.inst(i) {
+                Inst::Phi { inputs } => {
+                    if seen_non_phi {
+                        s.emit(
+                            LintId::PhiPlacement,
+                            Some(b),
+                            Some(i),
+                            format!("{b}: phi {i} appears after non-phi instructions"),
+                        );
+                    }
+                    if inputs.len() != g.preds(b).len() {
+                        s.emit(
+                            LintId::PhiPlacement,
+                            Some(b),
+                            Some(i),
+                            format!(
+                                "{b}: phi {i} has {} inputs but the block has {} predecessors",
+                                inputs.len(),
+                                g.preds(b).len()
+                            ),
+                        );
+                    }
+                    if g.preds(b).is_empty() {
+                        s.emit(
+                            LintId::PhiPlacement,
+                            Some(b),
+                            Some(i),
+                            format!("{b}: phi {i} in a block without predecessors"),
+                        );
+                    }
+                }
+                Inst::Param(idx) => {
+                    if b != g.entry() {
+                        s.emit(
+                            LintId::ParamPlacement,
+                            Some(b),
+                            Some(i),
+                            format!("param {i} outside the entry block"),
+                        );
+                    }
+                    if *idx as usize >= g.param_types().len() {
+                        s.emit(
+                            LintId::ParamPlacement,
+                            Some(b),
+                            Some(i),
+                            format!("param {i} index {idx} out of range"),
+                        );
+                    } else if g.ty(i) != g.param_types()[*idx as usize] {
+                        s.emit(
+                            LintId::ParamPlacement,
+                            Some(b),
+                            Some(i),
+                            format!("param {i} type mismatch with signature"),
+                        );
+                    }
+                    seen_non_phi = true;
+                }
+                _ => seen_non_phi = true,
+            }
+            g.inst(i).for_each_input(|input| {
+                if input.index() >= g.inst_count() {
                     s.emit(
                         LintId::DanglingUse,
                         Some(b),
-                        None,
-                        format!("terminator of {b} uses removed instruction {input}"),
+                        Some(i),
+                        format!("{i} references out-of-range value {input}"),
+                    );
+                } else if g.block_of(input).is_none() {
+                    s.emit(
+                        LintId::DanglingUse,
+                        Some(b),
+                        Some(i),
+                        format!("{i} in {b} uses removed instruction {input}"),
                     );
                 }
             });
         }
+        g.terminator(b).for_each_input(|input| {
+            if g.block_of(input).is_none() {
+                s.emit(
+                    LintId::DanglingUse,
+                    Some(b),
+                    None,
+                    format!("terminator of {b} uses removed instruction {input}"),
+                );
+            }
+        });
+    }
+}
+
+fn comparable(a: Type, b: Type) -> bool {
+    matches!(
+        (a, b),
+        (Type::Int, Type::Int)
+            | (Type::Bool, Type::Bool)
+            | (Type::Arr, Type::Arr)
+            | (Type::Ref(_), Type::Ref(_))
+    )
+}
+
+fn check_receiver(
+    s: &mut Sink<'_>,
+    g: &Graph,
+    b: BlockId,
+    at: InstId,
+    object: InstId,
+    field: crate::ids::FieldId,
+) {
+    let table = g.class_table();
+    if !table.contains_field(field) {
+        s.emit(
+            LintId::TypeError,
+            Some(b),
+            Some(at),
+            format!("{at}: unknown field {field}"),
+        );
+        return;
+    }
+    match g.ty(object) {
+        Type::Ref(c) => {
+            if !table.field_belongs_to(field, c) {
+                s.emit(
+                    LintId::TypeError,
+                    Some(b),
+                    Some(at),
+                    format!("{at}: field {field} does not belong to class {c}"),
+                );
+            }
+        }
+        other => s.emit(
+            LintId::TypeError,
+            Some(b),
+            Some(at),
+            format!("{at}: field access on {other}"),
+        ),
+    }
+}
+
+fn expect_type(s: &mut Sink<'_>, g: &Graph, b: BlockId, at: InstId, v: InstId, ty: Type) {
+    let actual = g.ty(v);
+    if actual != ty {
+        s.emit(
+            LintId::TypeError,
+            Some(b),
+            Some(at),
+            format!("{at}: operand {v} has type {actual}, expected {ty}"),
+        );
     }
 }
 
 /// Per-instruction type rules plus branch-condition typing.
-struct TypePass;
-
-impl TypePass {
-    fn comparable(a: Type, b: Type) -> bool {
-        matches!(
-            (a, b),
-            (Type::Int, Type::Int)
-                | (Type::Bool, Type::Bool)
-                | (Type::Arr, Type::Arr)
-                | (Type::Ref(_), Type::Ref(_))
-        )
-    }
-
-    fn check_receiver(
-        s: &mut Sink<'_>,
-        g: &Graph,
-        b: BlockId,
-        at: InstId,
-        object: InstId,
-        field: crate::ids::FieldId,
-    ) {
-        let table = g.class_table();
-        if !table.contains_field(field) {
-            s.emit(
-                LintId::TypeError,
-                Some(b),
-                Some(at),
-                format!("{at}: unknown field {field}"),
-            );
-            return;
-        }
-        match g.ty(object) {
-            Type::Ref(c) => {
-                if !table.field_belongs_to(field, c) {
-                    s.emit(
-                        LintId::TypeError,
-                        Some(b),
-                        Some(at),
-                        format!("{at}: field {field} does not belong to class {c}"),
-                    );
+#[allow(clippy::too_many_lines)]
+fn types(g: &Graph, out: &mut Vec<Diagnostic>) {
+    let mut s = Sink { out };
+    let table = g.class_table().clone();
+    for b in g.blocks() {
+        for &i in g.block_insts(b) {
+            // Out-of-range operands are DanglingUse findings; typing
+            // them would index past the instruction table.
+            let mut out_of_range = false;
+            g.inst(i).for_each_input(|input| {
+                if input.index() >= g.inst_count() {
+                    out_of_range = true;
                 }
+            });
+            if out_of_range {
+                continue;
             }
-            other => s.emit(
-                LintId::TypeError,
-                Some(b),
-                Some(at),
-                format!("{at}: field access on {other}"),
-            ),
-        }
-    }
-
-    fn expect(s: &mut Sink<'_>, g: &Graph, b: BlockId, at: InstId, v: InstId, ty: Type) {
-        let actual = g.ty(v);
-        if actual != ty {
-            s.emit(
-                LintId::TypeError,
-                Some(b),
-                Some(at),
-                format!("{at}: operand {v} has type {actual}, expected {ty}"),
-            );
-        }
-    }
-}
-
-impl LintPass for TypePass {
-    fn name(&self) -> &'static str {
-        "types"
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        let table = g.class_table().clone();
-        for b in g.blocks() {
-            for &i in g.block_insts(b) {
-                // Out-of-range operands are DanglingUse findings; typing
-                // them would index past the instruction table.
-                let mut out_of_range = false;
-                g.inst(i).for_each_input(|input| {
-                    if input.index() >= g.inst_count() {
-                        out_of_range = true;
+            let ty = g.ty(i);
+            let err =
+                |s: &mut Sink<'_>, msg: String| s.emit(LintId::TypeError, Some(b), Some(i), msg);
+            match g.inst(i) {
+                Inst::Const(c) => {
+                    if c.ty() != ty {
+                        err(&mut s, format!("{i}: constant {c} typed {ty}"));
                     }
-                });
-                if out_of_range {
-                    continue;
+                    if let ConstValue::Null(cl) = c {
+                        if !table.contains_class(*cl) {
+                            err(&mut s, format!("{i}: null of unknown class {cl}"));
+                        }
+                    }
                 }
-                let ty = g.ty(i);
-                let err = |s: &mut Sink<'_>, msg: String| {
-                    s.emit(LintId::TypeError, Some(b), Some(i), msg)
-                };
-                match g.inst(i) {
-                    Inst::Const(c) => {
-                        if c.ty() != ty {
-                            err(&mut s, format!("{i}: constant {c} typed {ty}"));
-                        }
-                        if let ConstValue::Null(cl) = c {
-                            if !table.contains_class(*cl) {
-                                err(&mut s, format!("{i}: null of unknown class {cl}"));
-                            }
-                        }
+                Inst::Param(_) => {}
+                Inst::Binary { lhs, rhs, .. } => {
+                    expect_type(&mut s, g, b, i, *lhs, Type::Int);
+                    expect_type(&mut s, g, b, i, *rhs, Type::Int);
+                    if ty != Type::Int {
+                        err(&mut s, format!("{i}: binary op typed {ty}"));
                     }
-                    Inst::Param(_) => {}
-                    Inst::Binary { lhs, rhs, .. } => {
-                        Self::expect(&mut s, g, b, i, *lhs, Type::Int);
-                        Self::expect(&mut s, g, b, i, *rhs, Type::Int);
-                        if ty != Type::Int {
-                            err(&mut s, format!("{i}: binary op typed {ty}"));
-                        }
+                }
+                Inst::Compare { op, lhs, rhs } => {
+                    let lt = g.ty(*lhs);
+                    let rt = g.ty(*rhs);
+                    let ordered = matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge);
+                    if ordered && (lt != Type::Int || rt != Type::Int) {
+                        err(&mut s, format!("{i}: ordered comparison of {lt} and {rt}"));
                     }
-                    Inst::Compare { op, lhs, rhs } => {
-                        let lt = g.ty(*lhs);
-                        let rt = g.ty(*rhs);
-                        let ordered = matches!(op, CmpOp::Lt | CmpOp::Le | CmpOp::Gt | CmpOp::Ge);
-                        if ordered && (lt != Type::Int || rt != Type::Int) {
-                            err(&mut s, format!("{i}: ordered comparison of {lt} and {rt}"));
-                        }
-                        if !ordered && !Self::comparable(lt, rt) {
-                            err(&mut s, format!("{i}: equality comparison of {lt} and {rt}"));
-                        }
-                        if ty != Type::Bool {
-                            err(&mut s, format!("{i}: comparison typed {ty}"));
-                        }
+                    if !ordered && !comparable(lt, rt) {
+                        err(&mut s, format!("{i}: equality comparison of {lt} and {rt}"));
                     }
-                    Inst::Not(x) => {
-                        Self::expect(&mut s, g, b, i, *x, Type::Bool);
-                        if ty != Type::Bool {
-                            err(&mut s, format!("{i}: not typed {ty}"));
-                        }
+                    if ty != Type::Bool {
+                        err(&mut s, format!("{i}: comparison typed {ty}"));
                     }
-                    Inst::Neg(x) => {
-                        Self::expect(&mut s, g, b, i, *x, Type::Int);
-                        if ty != Type::Int {
-                            err(&mut s, format!("{i}: neg typed {ty}"));
-                        }
+                }
+                Inst::Not(x) => {
+                    expect_type(&mut s, g, b, i, *x, Type::Bool);
+                    if ty != Type::Bool {
+                        err(&mut s, format!("{i}: not typed {ty}"));
                     }
-                    Inst::Phi { inputs } => {
-                        for &input in inputs {
-                            if g.ty(input) != ty {
-                                err(
-                                    &mut s,
-                                    format!(
-                                        "{i}: phi typed {ty} has input {input} of type {}",
-                                        g.ty(input)
-                                    ),
-                                );
-                            }
-                        }
+                }
+                Inst::Neg(x) => {
+                    expect_type(&mut s, g, b, i, *x, Type::Int);
+                    if ty != Type::Int {
+                        err(&mut s, format!("{i}: neg typed {ty}"));
                     }
-                    Inst::New { class } => {
-                        if !table.contains_class(*class) {
-                            err(&mut s, format!("{i}: new of unknown class {class}"));
-                        } else if ty != Type::Ref(*class) {
-                            err(&mut s, format!("{i}: new {class} typed {ty}"));
-                        }
-                    }
-                    Inst::LoadField { object, field } => {
-                        Self::check_receiver(&mut s, g, b, i, *object, *field);
-                        if table.contains_field(*field) && ty != table.field(*field).ty {
-                            err(&mut s, format!("{i}: load of {field} typed {ty}"));
-                        }
-                    }
-                    Inst::StoreField {
-                        object,
-                        field,
-                        value,
-                    } => {
-                        Self::check_receiver(&mut s, g, b, i, *object, *field);
-                        if table.contains_field(*field) && g.ty(*value) != table.field(*field).ty {
+                }
+                Inst::Phi { inputs } => {
+                    for &input in inputs {
+                        if g.ty(input) != ty {
                             err(
                                 &mut s,
-                                format!("{i}: store of {} into {field}", g.ty(*value)),
+                                format!(
+                                    "{i}: phi typed {ty} has input {input} of type {}",
+                                    g.ty(input)
+                                ),
                             );
                         }
-                        if ty != Type::Void {
-                            err(&mut s, format!("{i}: store typed {ty}"));
+                    }
+                }
+                Inst::New { class } => {
+                    if !table.contains_class(*class) {
+                        err(&mut s, format!("{i}: new of unknown class {class}"));
+                    } else if ty != Type::Ref(*class) {
+                        err(&mut s, format!("{i}: new {class} typed {ty}"));
+                    }
+                }
+                Inst::LoadField { object, field } => {
+                    check_receiver(&mut s, g, b, i, *object, *field);
+                    if table.contains_field(*field) && ty != table.field(*field).ty {
+                        err(&mut s, format!("{i}: load of {field} typed {ty}"));
+                    }
+                }
+                Inst::StoreField {
+                    object,
+                    field,
+                    value,
+                } => {
+                    check_receiver(&mut s, g, b, i, *object, *field);
+                    if table.contains_field(*field) && g.ty(*value) != table.field(*field).ty {
+                        err(
+                            &mut s,
+                            format!("{i}: store of {} into {field}", g.ty(*value)),
+                        );
+                    }
+                    if ty != Type::Void {
+                        err(&mut s, format!("{i}: store typed {ty}"));
+                    }
+                }
+                Inst::InstanceOf { object, class } => {
+                    if !matches!(g.ty(*object), Type::Ref(_)) {
+                        err(&mut s, format!("{i}: instanceof on {}", g.ty(*object)));
+                    }
+                    if !table.contains_class(*class) {
+                        err(&mut s, format!("{i}: instanceof unknown class {class}"));
+                    }
+                    if ty != Type::Bool {
+                        err(&mut s, format!("{i}: instanceof typed {ty}"));
+                    }
+                }
+                Inst::NewArray { length } => {
+                    expect_type(&mut s, g, b, i, *length, Type::Int);
+                    if ty != Type::Arr {
+                        err(&mut s, format!("{i}: newarray typed {ty}"));
+                    }
+                }
+                Inst::ArrayLoad { array, index } => {
+                    expect_type(&mut s, g, b, i, *array, Type::Arr);
+                    expect_type(&mut s, g, b, i, *index, Type::Int);
+                    if ty != Type::Int {
+                        err(&mut s, format!("{i}: aload typed {ty}"));
+                    }
+                }
+                Inst::ArrayStore {
+                    array,
+                    index,
+                    value,
+                } => {
+                    expect_type(&mut s, g, b, i, *array, Type::Arr);
+                    expect_type(&mut s, g, b, i, *index, Type::Int);
+                    expect_type(&mut s, g, b, i, *value, Type::Int);
+                    if ty != Type::Void {
+                        err(&mut s, format!("{i}: astore typed {ty}"));
+                    }
+                }
+                Inst::ArrayLength(a) => {
+                    expect_type(&mut s, g, b, i, *a, Type::Arr);
+                    if ty != Type::Int {
+                        err(&mut s, format!("{i}: alength typed {ty}"));
+                    }
+                }
+                Inst::Invoke { args } => {
+                    for &a in args {
+                        if g.ty(a) == Type::Void {
+                            err(&mut s, format!("{i}: invoke passes void value {a}"));
                         }
                     }
-                    Inst::InstanceOf { object, class } => {
-                        if !matches!(g.ty(*object), Type::Ref(_)) {
-                            err(&mut s, format!("{i}: instanceof on {}", g.ty(*object)));
-                        }
-                        if !table.contains_class(*class) {
-                            err(&mut s, format!("{i}: instanceof unknown class {class}"));
-                        }
-                        if ty != Type::Bool {
-                            err(&mut s, format!("{i}: instanceof typed {ty}"));
-                        }
-                    }
-                    Inst::NewArray { length } => {
-                        Self::expect(&mut s, g, b, i, *length, Type::Int);
-                        if ty != Type::Arr {
-                            err(&mut s, format!("{i}: newarray typed {ty}"));
-                        }
-                    }
-                    Inst::ArrayLoad { array, index } => {
-                        Self::expect(&mut s, g, b, i, *array, Type::Arr);
-                        Self::expect(&mut s, g, b, i, *index, Type::Int);
-                        if ty != Type::Int {
-                            err(&mut s, format!("{i}: aload typed {ty}"));
-                        }
-                    }
-                    Inst::ArrayStore {
-                        array,
-                        index,
-                        value,
-                    } => {
-                        Self::expect(&mut s, g, b, i, *array, Type::Arr);
-                        Self::expect(&mut s, g, b, i, *index, Type::Int);
-                        Self::expect(&mut s, g, b, i, *value, Type::Int);
-                        if ty != Type::Void {
-                            err(&mut s, format!("{i}: astore typed {ty}"));
-                        }
-                    }
-                    Inst::ArrayLength(a) => {
-                        Self::expect(&mut s, g, b, i, *a, Type::Arr);
-                        if ty != Type::Int {
-                            err(&mut s, format!("{i}: alength typed {ty}"));
-                        }
-                    }
-                    Inst::Invoke { args } => {
-                        for &a in args {
-                            if g.ty(a) == Type::Void {
-                                err(&mut s, format!("{i}: invoke passes void value {a}"));
-                            }
-                        }
-                        if ty != Type::Int {
-                            err(&mut s, format!("{i}: invoke typed {ty}"));
-                        }
+                    if ty != Type::Int {
+                        err(&mut s, format!("{i}: invoke typed {ty}"));
                     }
                 }
             }
-            if let Terminator::Branch { cond, .. } = g.terminator(b) {
-                if cond.index() < g.inst_count() && g.ty(*cond) != Type::Bool {
-                    s.emit(
-                        LintId::TypeError,
-                        Some(b),
-                        None,
-                        format!("terminator of {b}: branch on {}", g.ty(*cond)),
-                    );
-                }
+        }
+        if let Terminator::Branch { cond, .. } = g.terminator(b) {
+            if cond.index() < g.inst_count() && g.ty(*cond) != Type::Bool {
+                s.emit(
+                    LintId::TypeError,
+                    Some(b),
+                    None,
+                    format!("terminator of {b}: branch on {}", g.ty(*cond)),
+                );
             }
         }
     }
@@ -845,52 +759,44 @@ impl LintPass for TypePass {
 
 /// The SSA dominance property: every use is dominated by its definition,
 /// and every φ input dominates (the end of) its predecessor.
-struct DominancePass;
-
-impl LintPass for DominancePass {
-    fn name(&self) -> &'static str {
-        "dominance"
-    }
-
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        let dom = SimpleDomTree::compute(g);
-        // Position of each instruction within its block for same-block
-        // checks (`usize::MAX` for instructions no block lists).
-        let mut pos = vec![usize::MAX; g.inst_count()];
-        for b in g.blocks() {
-            for (k, &i) in g.block_insts(b).iter().enumerate() {
-                if let Some(p) = pos.get_mut(i.index()) {
-                    *p = k;
-                }
+fn dominance(g: &Graph, dom: &DomTree, out: &mut Vec<Diagnostic>) {
+    let mut s = Sink { out };
+    // Position of each instruction within its block for same-block
+    // checks (`usize::MAX` for instructions no block lists).
+    let mut pos = vec![usize::MAX; g.inst_count()];
+    for b in g.blocks() {
+        for (k, &i) in g.block_insts(b).iter().enumerate() {
+            if let Some(p) = pos.get_mut(i.index()) {
+                *p = k;
             }
         }
-        let available_at_end = |v: InstId, b: BlockId| {
-            if v.index() >= g.inst_count() {
-                return false;
-            }
-            match g.block_of(v) {
-                Some(db) => dom.dominates(db, b),
-                None => false,
-            }
-        };
-        let dominates_use = |v: InstId, b: BlockId, use_pos: usize| {
-            if v.index() >= g.inst_count() {
-                return false;
-            }
-            match g.block_of(v) {
-                Some(db) if db == b => pos[v.index()] < use_pos,
-                Some(db) => dom.dominates(db, b),
-                None => false,
-            }
-        };
-        for &b in &dom.rpo {
-            for (k, &i) in g.block_insts(b).iter().enumerate() {
-                match g.inst(i) {
-                    Inst::Phi { inputs } => {
-                        for (input, &pred) in inputs.iter().zip(g.preds(b)) {
-                            if !available_at_end(*input, pred) {
-                                s.emit(
+    }
+    let available_at_end = |v: InstId, b: BlockId| {
+        if v.index() >= g.inst_count() {
+            return false;
+        }
+        match g.block_of(v) {
+            Some(db) => dom.dominates(db, b),
+            None => false,
+        }
+    };
+    let dominates_use = |v: InstId, b: BlockId, use_pos: usize| {
+        if v.index() >= g.inst_count() {
+            return false;
+        }
+        match g.block_of(v) {
+            Some(db) if db == b => pos[v.index()] < use_pos,
+            Some(db) => dom.dominates(db, b),
+            None => false,
+        }
+    };
+    for &b in dom.reverse_postorder() {
+        for (k, &i) in g.block_insts(b).iter().enumerate() {
+            match g.inst(i) {
+                Inst::Phi { inputs } => {
+                    for (input, &pred) in inputs.iter().zip(g.preds(b)) {
+                        if !available_at_end(*input, pred) {
+                            s.emit(
                                     LintId::SsaDominance,
                                     Some(b),
                                     Some(i),
@@ -898,108 +804,98 @@ impl LintPass for DominancePass {
                                         "{i} in {b}: phi input {input} does not dominate predecessor {pred}"
                                     ),
                                 );
-                            }
-                        }
-                    }
-                    inst => {
-                        let mut bad = Vec::new();
-                        inst.for_each_input(|input| {
-                            if !dominates_use(input, b, k) {
-                                bad.push(input);
-                            }
-                        });
-                        for input in bad {
-                            s.emit(
-                                LintId::SsaDominance,
-                                Some(b),
-                                Some(i),
-                                format!(
-                                    "{i} in {b}: use of {input} not dominated by its definition"
-                                ),
-                            );
                         }
                     }
                 }
-            }
-            let term = g.terminator(b);
-            let end = g.block_insts(b).len();
-            let mut bad = Vec::new();
-            term.for_each_input(|input| {
-                if !dominates_use(input, b, end) {
-                    bad.push(input);
+                inst => {
+                    let mut bad = Vec::new();
+                    inst.for_each_input(|input| {
+                        if !dominates_use(input, b, k) {
+                            bad.push(input);
+                        }
+                    });
+                    for input in bad {
+                        s.emit(
+                            LintId::SsaDominance,
+                            Some(b),
+                            Some(i),
+                            format!("{i} in {b}: use of {input} not dominated by its definition"),
+                        );
+                    }
                 }
-            });
-            for input in bad {
-                s.emit(
-                    LintId::SsaDominance,
-                    Some(b),
-                    None,
-                    format!("terminator of {b}: use of {input} not dominated by its definition"),
-                );
             }
+        }
+        let term = g.terminator(b);
+        let end = g.block_insts(b).len();
+        let mut bad = Vec::new();
+        term.for_each_input(|input| {
+            if !dominates_use(input, b, end) {
+                bad.push(input);
+            }
+        });
+        for input in bad {
+            s.emit(
+                LintId::SsaDominance,
+                Some(b),
+                None,
+                format!("terminator of {b}: use of {input} not dominated by its definition"),
+            );
         }
     }
 }
 
 /// CFG hygiene: findings the soundness checks cannot express — populated
 /// dead blocks, trivial φs, critical edges into merges. All warn-severity.
-struct HygienePass;
-
-impl LintPass for HygienePass {
-    fn name(&self) -> &'static str {
-        "hygiene"
+fn hygiene(g: &Graph, out: &mut Vec<Diagnostic>) {
+    let mut s = Sink { out };
+    let mut reachable = vec![false; g.block_count()];
+    for b in g.reachable_blocks() {
+        reachable[b.index()] = true;
     }
-
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        let mut reachable = vec![false; g.block_count()];
-        for b in g.reachable_blocks() {
-            reachable[b.index()] = true;
+    for b in g.blocks() {
+        if !reachable[b.index()] && !g.block_insts(b).is_empty() {
+            s.emit(
+                LintId::UnreachableBlock,
+                Some(b),
+                None,
+                format!(
+                    "unreachable {b} still holds {} instructions",
+                    g.block_insts(b).len()
+                ),
+            );
         }
-        for b in g.blocks() {
-            if !reachable[b.index()] && !g.block_insts(b).is_empty() {
-                s.emit(
-                    LintId::UnreachableBlock,
-                    Some(b),
-                    None,
-                    format!(
-                        "unreachable {b} still holds {} instructions",
-                        g.block_insts(b).len()
-                    ),
-                );
-            }
-            for &i in g.phis(b) {
-                if let Inst::Phi { inputs } = g.inst(i) {
-                    let mut distinct: Option<InstId> = None;
-                    let mut trivial = true;
-                    for &input in inputs {
-                        if input == i {
-                            continue; // self-reference through a back edge
-                        }
-                        match distinct {
-                            None => distinct = Some(input),
-                            Some(d) if d == input => {}
-                            Some(_) => {
-                                trivial = false;
-                                break;
-                            }
-                        }
+        for &i in g.phis(b) {
+            if let Inst::Phi { inputs } = g.inst(i) {
+                let mut distinct: Option<InstId> = None;
+                let mut trivial = true;
+                for &input in inputs {
+                    if input == i {
+                        continue; // self-reference through a back edge
                     }
-                    if trivial && !inputs.is_empty() {
-                        s.emit(
-                            LintId::TrivialPhi,
-                            Some(b),
-                            Some(i),
-                            format!("{b}: phi {i} is trivial (every input is the same value)"),
-                        );
+                    match distinct {
+                        None => distinct = Some(input),
+                        Some(d) if d == input => {}
+                        Some(_) => {
+                            trivial = false;
+                            break;
+                        }
                     }
                 }
+                if trivial && !inputs.is_empty() {
+                    s.emit(
+                        LintId::TrivialPhi,
+                        Some(b),
+                        Some(i),
+                        format!("{b}: phi {i} is trivial (every input is the same value)"),
+                    );
+                }
             }
-            let succs = g.succs(b);
-            if succs.len() > 1 {
-                for succ in succs {
-                    if g.preds(succ).len() > 1 {
-                        s.emit(
+        }
+        let succs = g.succs(b);
+        if succs.len() > 1 {
+            for succ in succs {
+                if g.preds(succ).len() > 1 {
+                    s.emit(
                             LintId::CriticalEdge,
                             Some(b),
                             None,
@@ -1009,127 +905,115 @@ impl LintPass for HygienePass {
                                 g.preds(succ).len()
                             ),
                         );
-                    }
                 }
             }
         }
     }
 }
 
-/// Reverse-CFG structure: exit reachability ([`LintId::NoExitPath`]) and
-/// the cross-check of branch probabilities against control dependence
-/// ([`LintId::ControlDepViolation`]). The full-featured analyses
-/// (post-dominator tree with virtual exit, frontiers, control-dependence
-/// graph) live in `dbds-analysis`; this pass reimplements just enough on
-/// a [`SimplePostDom`] to stay dependency-cycle-free, mirroring how
-/// [`DominancePass`] relates to the cached `DomTree`.
-struct ReverseCfgPass {
-    /// Whether to emit the warn-severity [`LintId::NoExitPath`].
-    warnings: bool,
-}
-
-impl LintPass for ReverseCfgPass {
-    fn name(&self) -> &'static str {
-        "reverse-cfg"
+/// Reverse-CFG structure: exit reachability ([`LintId::NoExitPath`],
+/// emitted only when `warnings` is set) and the cross-check of branch
+/// probabilities against control dependence
+/// ([`LintId::ControlDepViolation`]), walked on a [`SimplePostDom`].
+fn reverse_cfg(g: &Graph, warnings: bool, out: &mut Vec<Diagnostic>) {
+    let mut s = Sink { out };
+    let n = g.block_count();
+    let mut reachable = vec![false; n];
+    for b in g.reachable_blocks() {
+        reachable[b.index()] = true;
     }
-
-    fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-        let mut s = Sink { out };
-        let n = g.block_count();
-        let mut reachable = vec![false; n];
-        for b in g.reachable_blocks() {
-            reachable[b.index()] = true;
+    // Backward reachability from the exit blocks.
+    let mut reaches_exit = vec![false; n];
+    let mut work: Vec<BlockId> = Vec::new();
+    for b in g.blocks() {
+        if reachable[b.index()] && g.succs(b).is_empty() {
+            reaches_exit[b.index()] = true;
+            work.push(b);
         }
-        // Backward reachability from the exit blocks.
-        let mut reaches_exit = vec![false; n];
-        let mut work: Vec<BlockId> = Vec::new();
+    }
+    while let Some(b) = work.pop() {
+        for &p in g.preds(b) {
+            if reachable[p.index()] && !reaches_exit[p.index()] {
+                reaches_exit[p.index()] = true;
+                work.push(p);
+            }
+        }
+    }
+    if warnings {
         for b in g.blocks() {
-            if reachable[b.index()] && g.succs(b).is_empty() {
-                reaches_exit[b.index()] = true;
-                work.push(b);
+            if reachable[b.index()] && !reaches_exit[b.index()] {
+                s.emit(
+                    LintId::NoExitPath,
+                    Some(b),
+                    None,
+                    format!("reachable {b} has no path to any exit block"),
+                );
             }
         }
-        while let Some(b) = work.pop() {
-            for &p in g.preds(b) {
-                if reachable[p.index()] && !reaches_exit[p.index()] {
-                    reaches_exit[p.index()] = true;
-                    work.push(p);
-                }
-            }
-        }
-        if self.warnings {
-            for b in g.blocks() {
-                if reachable[b.index()] && !reaches_exit[b.index()] {
-                    s.emit(
-                        LintId::NoExitPath,
-                        Some(b),
-                        None,
-                        format!("reachable {b} has no path to any exit block"),
-                    );
-                }
-            }
-        }
+    }
 
-        // Control-dependence vs. probability cross-check: code that is
-        // control dependent on a branch edge the profile says never
-        // executes (probability exactly 0 toward it) contradicts the
-        // profile the whole trade-off tier prices with. The chain walk is
-        // Ferrante's: everything from the dead successor up to (exclusive)
-        // the branch's immediate post-dominator is decided by that edge.
-        // Only a branch with probability exactly 0 or 1 has a dead edge,
-        // so the post-dominator tree is built on the first one found.
-        let mut pd: Option<SimplePostDom> = None;
-        for a in g.blocks() {
-            if !reaches_exit[a.index()] {
-                continue;
+    // Control-dependence vs. probability cross-check: code that is
+    // control dependent on a branch edge the profile says never
+    // executes (probability exactly 0 toward it) contradicts the
+    // profile the whole trade-off tier prices with. The chain walk is
+    // Ferrante's: everything from the dead successor up to (exclusive)
+    // the branch's immediate post-dominator is decided by that edge.
+    // Only a branch with probability exactly 0 or 1 has a dead edge,
+    // so the post-dominator tree is built on the first one found.
+    let mut pd: Option<SimplePostDom> = None;
+    for a in g.blocks() {
+        if !reaches_exit[a.index()] {
+            continue;
+        }
+        let Terminator::Branch {
+            then_bb,
+            else_bb,
+            prob_then,
+            ..
+        } = g.terminator(a)
+        else {
+            continue;
+        };
+        let dead_succ = if *prob_then == 0.0 {
+            Some(*then_bb)
+        } else if *prob_then == 1.0 {
+            Some(*else_bb)
+        } else {
+            None
+        };
+        let Some(dead) = dead_succ else { continue };
+        let pd = &*pd.get_or_insert_with(|| SimplePostDom::compute(g, &reaches_exit));
+        let target = pd.ipdom(a);
+        let mut runner = Some(dead);
+        while runner != target {
+            let Some(r) = runner else { break };
+            if !reaches_exit[r.index()] {
+                break;
             }
-            let Terminator::Branch {
-                then_bb,
-                else_bb,
-                prob_then,
-                ..
-            } = g.terminator(a)
-            else {
-                continue;
-            };
-            let dead_succ = if *prob_then == 0.0 {
-                Some(*then_bb)
-            } else if *prob_then == 1.0 {
-                Some(*else_bb)
-            } else {
-                None
-            };
-            let Some(dead) = dead_succ else { continue };
-            let pd = &*pd.get_or_insert_with(|| SimplePostDom::compute(g, &reaches_exit));
-            let target = pd.ipdom(a);
-            let mut runner = Some(dead);
-            while runner != target {
-                let Some(r) = runner else { break };
-                if !reaches_exit[r.index()] {
-                    break;
-                }
-                if !g.block_insts(r).is_empty() {
-                    s.emit(
-                        LintId::ControlDepViolation,
-                        Some(r),
-                        None,
-                        format!(
-                            "{r} is control dependent on the never-taken edge {a} -> {dead} \
+            if !g.block_insts(r).is_empty() {
+                s.emit(
+                    LintId::ControlDepViolation,
+                    Some(r),
+                    None,
+                    format!(
+                        "{r} is control dependent on the never-taken edge {a} -> {dead} \
                              (probability {prob_then} branch)"
-                        ),
-                    );
-                }
-                runner = pd.ipdom(r);
+                    ),
+                );
             }
+            runner = pd.ipdom(r);
         }
     }
 }
 
-/// A minimal post-dominator tree used only by [`ReverseCfgPass`],
-/// restricted to blocks that reach an exit (the pass warns about the rest
-/// separately, so no virtual-exit/pseudo-exit machinery is needed here).
-/// The full analysis lives in `dbds-analysis`; this one avoids a
-/// dependency cycle, like [`SimpleDomTree`] below.
+/// A post-dominator tree restricted to blocks that reach an exit, used
+/// only by [`reverse_cfg`] (which warns about the other blocks
+/// separately). It stays next to `dbds_analysis::PostDomTree` because
+/// the two disagree where the check reads them: `PostDomTree` attaches
+/// infinite regions to pseudo-exits, so when a never-taken edge leads
+/// both to an exit and to an infinite loop, its ipdom chains — and so
+/// the [`LintId::ControlDepViolation`] walks — differ from the ones
+/// over this restricted domain.
 struct SimplePostDom {
     /// `None` for roots of the post-dominator forest (exit blocks) and
     /// for blocks outside the restricted domain.
@@ -1239,167 +1123,6 @@ impl SimplePostDom {
     /// blocks outside the restricted domain).
     fn ipdom(&self, b: BlockId) -> Option<BlockId> {
         self.ipdom[b.index()]
-    }
-}
-
-/// A minimal dominator tree used only by the lint passes. The
-/// full-featured analysis (queries, children, traversal) lives in
-/// `dbds-analysis`; this one avoids a dependency cycle.
-///
-/// Every block of the tree owns the preorder interval
-/// `[pre, pre + size)` of its dominator subtree, so
-/// [`SimpleDomTree::dominates`] is two comparisons, like the O(1) query
-/// of `dbds_analysis::DomTree`.
-struct SimpleDomTree {
-    idom: Vec<Option<BlockId>>,
-    rpo_index: Vec<usize>,
-    rpo: Vec<BlockId>,
-    /// Dominator-tree preorder number (`usize::MAX` outside the tree).
-    pre: Vec<usize>,
-    /// Number of blocks in the dominator subtree.
-    size: Vec<usize>,
-}
-
-impl SimpleDomTree {
-    fn compute(g: &Graph) -> Self {
-        // Reverse postorder over reachable blocks.
-        let n = g.block_count();
-        let mut visited = vec![false; n];
-        let mut post: Vec<BlockId> = Vec::new();
-        // Iterative DFS computing postorder.
-        let mut stack: Vec<(BlockId, usize)> = vec![(g.entry(), 0)];
-        visited[g.entry().index()] = true;
-        while let Some(&mut (b, ref mut child)) = stack.last_mut() {
-            let succs = g.succs(b);
-            if *child < succs.len() {
-                let s = succs[*child];
-                *child += 1;
-                if !visited[s.index()] {
-                    visited[s.index()] = true;
-                    stack.push((s, 0));
-                }
-            } else {
-                post.push(b);
-                stack.pop();
-            }
-        }
-        let rpo: Vec<BlockId> = post.into_iter().rev().collect();
-        let mut rpo_index = vec![usize::MAX; n];
-        for (i, &b) in rpo.iter().enumerate() {
-            rpo_index[b.index()] = i;
-        }
-        // Cooper–Harvey–Kennedy iteration.
-        let mut idom: Vec<Option<BlockId>> = vec![None; n];
-        idom[g.entry().index()] = Some(g.entry());
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in rpo.iter().skip(1) {
-                let mut new_idom: Option<BlockId> = None;
-                for &p in g.preds(b) {
-                    if idom[p.index()].is_none() {
-                        continue;
-                    }
-                    new_idom = Some(match new_idom {
-                        None => p,
-                        Some(cur) => Self::intersect(&idom, &rpo_index, p, cur),
-                    });
-                }
-                if let Some(ni) = new_idom {
-                    if idom[b.index()] != Some(ni) {
-                        idom[b.index()] = Some(ni);
-                        changed = true;
-                    }
-                }
-            }
-        }
-
-        // Preorder intervals. A tree parent must precede its child in
-        // reverse postorder; that holds for every reachable block unless
-        // the pred and succ lists disagree, and a block whose idom chain
-        // breaks it stays outside the tree (its queries walk the chain).
-        // Subtree sizes accumulate bottom-up over the reversed order, and
-        // each parent hands its children consecutive slots after its own.
-        let parent = |b: BlockId| match idom[b.index()] {
-            Some(p) if rpo_index[p.index()] < rpo_index[b.index()] => Some(p),
-            _ => None,
-        };
-        let mut in_tree = vec![false; n];
-        in_tree[g.entry().index()] = true;
-        for &b in rpo.iter().skip(1) {
-            in_tree[b.index()] = parent(b).is_some_and(|p| in_tree[p.index()]);
-        }
-        let mut size = vec![0; n];
-        for &b in rpo.iter().rev().filter(|b| in_tree[b.index()]) {
-            size[b.index()] += 1;
-            if let Some(p) = parent(b) {
-                size[p.index()] += size[b.index()];
-            }
-        }
-        let mut pre = vec![usize::MAX; n];
-        let mut next_slot = vec![0; n];
-        for &b in rpo.iter().filter(|b| in_tree[b.index()]) {
-            let slot = parent(b).map_or(0, |p| {
-                let slot = next_slot[p.index()];
-                next_slot[p.index()] += size[b.index()];
-                slot
-            });
-            pre[b.index()] = slot;
-            next_slot[b.index()] = slot + 1;
-        }
-        SimpleDomTree {
-            idom,
-            rpo_index,
-            rpo,
-            pre,
-            size,
-        }
-    }
-
-    fn intersect(idom: &[Option<BlockId>], rpo_index: &[usize], a: BlockId, b: BlockId) -> BlockId {
-        let (mut a, mut b) = (a, b);
-        while a != b {
-            while rpo_index[a.index()] > rpo_index[b.index()] {
-                a = idom[a.index()].expect("processed block has idom");
-            }
-            while rpo_index[b.index()] > rpo_index[a.index()] {
-                b = idom[b.index()].expect("processed block has idom");
-            }
-        }
-        a
-    }
-
-    /// Does `a` dominate `b`? Blocks unreachable from entry dominate
-    /// nothing and are dominated by nothing.
-    fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        if self.rpo_index[a.index()] == usize::MAX || self.rpo_index[b.index()] == usize::MAX {
-            return false;
-        }
-        let (pa, pb) = (self.pre[a.index()], self.pre[b.index()]);
-        if pb == usize::MAX {
-            return self.dominates_by_walk(a, b);
-        }
-        // Every ancestor of a tree block is in the tree, so `a` outside
-        // it (`pa == usize::MAX`) dominates nothing here.
-        pa <= pb && pb < pa + self.size[a.index()]
-    }
-
-    /// [`SimpleDomTree::dominates`] by walking `b`'s idom chain: the
-    /// answer for blocks outside the preorder numbering.
-    fn dominates_by_walk(&self, a: BlockId, b: BlockId) -> bool {
-        if self.rpo_index[a.index()] == usize::MAX || self.rpo_index[b.index()] == usize::MAX {
-            return false;
-        }
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur.index()] {
-                Some(i) if i != cur => cur = i,
-                _ => return false,
-            }
-        }
     }
 }
 
@@ -1547,101 +1270,6 @@ mod tests {
         let report = lint(&diamond());
         assert_eq!(report.count_of(LintId::ControlDepViolation), 0);
         assert_eq!(report.count_of(LintId::NoExitPath), 0);
-    }
-
-    /// A random CFG over `n` blocks, built from a small LCG: returns,
-    /// jumps and branches to arbitrary blocks, so back edges (loops),
-    /// edges into the entry and blocks no path reaches all occur.
-    fn random_cfg(seed: u64, n: usize) -> Graph {
-        let mut state = seed.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-        let mut next = |bound: usize| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) as usize % bound
-        };
-        let mut g = Graph::new("r", &[Type::Bool], empty_table());
-        let cond = g.param_values()[0];
-        let blocks: Vec<BlockId> = std::iter::once(g.entry())
-            .chain((1..n).map(|_| g.add_block()))
-            .collect();
-        for &b in &blocks {
-            let term = match next(4) {
-                0 => Terminator::Return { value: None },
-                1 => Terminator::Jump {
-                    target: blocks[next(n)],
-                },
-                _ => {
-                    let then_bb = blocks[next(n)];
-                    let else_bb = blocks[(then_bb.index() + 1 + next(n - 1)) % n];
-                    Terminator::Branch {
-                        cond,
-                        then_bb,
-                        else_bb,
-                        prob_then: 0.5,
-                    }
-                }
-            };
-            g.set_terminator(b, term);
-        }
-        g
-    }
-
-    #[test]
-    fn interval_dominance_agrees_with_the_idom_chain_walk() {
-        let (mut loops, mut unreachable) = (0, 0);
-        for seed in 0..300 {
-            let g = random_cfg(seed, 2 + seed as usize % 14);
-            let dom = SimpleDomTree::compute(&g);
-            for a in g.blocks() {
-                if dom.rpo_index[a.index()] == usize::MAX {
-                    unreachable += 1;
-                    continue;
-                }
-                // Pred and succ lists agree here, so every reachable
-                // block is answered from its interval, not the fallback.
-                assert_ne!(dom.pre[a.index()], usize::MAX, "seed {seed}: {a}");
-                loops += g
-                    .succs(a)
-                    .iter()
-                    .filter(|&&s| dom.rpo_index[s.index()] <= dom.rpo_index[a.index()])
-                    .count();
-            }
-            for a in g.blocks() {
-                for b in g.blocks() {
-                    assert_eq!(
-                        dom.dominates(a, b),
-                        dom.dominates_by_walk(a, b),
-                        "seed {seed}: does {a} dominate {b}?\n{g}"
-                    );
-                }
-            }
-        }
-        assert!(loops > 0 && unreachable > 0, "generator must produce both");
-    }
-
-    #[test]
-    fn registry_can_register_custom_pass() {
-        struct Always;
-        impl LintPass for Always {
-            fn name(&self) -> &'static str {
-                "always"
-            }
-            fn run(&self, g: &Graph, out: &mut Vec<Diagnostic>) {
-                out.push(Diagnostic::new(
-                    LintId::UnreachableBlock,
-                    Some(g.entry()),
-                    None,
-                    "custom pass fired".into(),
-                ));
-            }
-        }
-        let mut reg = LintRegistry::new();
-        reg.register(Box::new(Always));
-        let report = reg.run(&diamond());
-        assert_eq!(report.warning_count(), 1);
-        assert!(report.is_clean());
-        assert!(reg.pass_names().contains(&"always"));
     }
 
     #[test]

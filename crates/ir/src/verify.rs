@@ -6,17 +6,19 @@
 //! workspace is validated against it in tests, and the DBDS optimization
 //! tier re-verifies the graph after each applied duplication.
 //!
-//! Since the lint framework landed, [`verify`] is a thin wrapper over
-//! [`crate::lint`]: it runs the built-in passes minus the warn-severity
-//! work and reports their diagnostics as a flat [`VerifyErrors`], so
-//! every existing call site (tests, the bailout checkpoint path, the
-//! re-verification after each duplication) runs every error-severity
-//! check of the structured suite. Warn-severity hygiene findings do not
-//! fail verification, so they are not computed here; consume
-//! [`crate::lint::lint`] directly to see them.
+//! [`verify`] is a thin wrapper over [`crate::lint`]: it runs the
+//! built-in passes minus the warn-severity work and reports their
+//! diagnostics as a flat [`VerifyErrors`], so every call site (tests,
+//! the bailout checkpoint path, the re-verification after each
+//! duplication) runs every error-severity check of the structured
+//! suite. Warn-severity hygiene findings do not fail verification, so
+//! they are not computed here; consume [`crate::lint::lint`] directly to
+//! see them. [`verify_with`] takes the graph's [`DomTree`] from the
+//! caller, so a checkpoint that needs the tree for further checks builds
+//! it once.
 
-use crate::lint::LintRegistry;
-use crate::Graph;
+use crate::lint::run_passes;
+use crate::{DomTree, Graph};
 use std::error::Error;
 use std::fmt;
 
@@ -66,7 +68,17 @@ impl Error for VerifyErrors {}
 /// (block, instruction, lint) order: they are the messages of
 /// `lint(g).errors()`.
 pub fn verify(g: &Graph) -> Result<(), VerifyErrors> {
-    let report = LintRegistry::errors_only().run(g);
+    verify_with(g, &DomTree::compute(g))
+}
+
+/// [`verify`] against a dominator tree the caller already built.
+///
+/// # Errors
+///
+/// As [`verify`]. `dt` must be `DomTree::compute(g)` for the current
+/// state of `g`; a stale tree makes the SSA-dominance check unsound.
+pub fn verify_with(g: &Graph, dt: &DomTree) -> Result<(), VerifyErrors> {
+    let report = run_passes(g, dt, false);
     let problems: Vec<String> = report
         .diagnostics()
         .iter()

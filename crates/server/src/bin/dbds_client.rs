@@ -9,7 +9,7 @@
 //!
 //! `compile` prints one summary line (`hit`/`miss`, key, counters) and
 //! exits 0 on success, 3 on a typed service error (overloaded,
-//! deadline exceeded, bad request), 1 on transport problems. `session`
+//! deadline exceeded, bad request, internal), 1 on transport problems. `session`
 //! replays every built-in workload `--passes` times and prints per-pass
 //! hit/miss tallies — the scripted version of the cache-effectiveness
 //! experiment.

@@ -4,8 +4,8 @@
 //! many bytes of compact JSON. Requests are tagged objects
 //! (`{"op": "compile" | "status" | "shutdown", ...}`); responses carry
 //! `"ok": true` plus the payload, or `"ok": false` plus a typed error
-//! kind (`overloaded`, `deadline-exceeded`, `bad-request`) and a
-//! user-facing message. Frames are capped at [`MAX_FRAME`] bytes so a
+//! kind (`overloaded`, `deadline-exceeded`, `bad-request`,
+//! `frame-too-large`, `internal`) and a user-facing message. Frames are capped at [`MAX_FRAME`] bytes so a
 //! corrupt or hostile length prefix cannot make either side allocate
 //! unboundedly.
 
@@ -140,11 +140,11 @@ pub fn response_json(outcome: &CompileOutcome) -> Json {
 }
 
 /// Encodes a typed service error as a response object. The `message`
-/// field carries the bare payload for `bad-request` (so the error
-/// round-trips exactly) and the display string otherwise.
+/// field carries the bare payload for `bad-request` and `internal` (so
+/// the error round-trips exactly) and the display string otherwise.
 pub fn error_json(e: &ServiceError) -> Json {
     let message = match e {
-        ServiceError::BadRequest(msg) => msg.clone(),
+        ServiceError::BadRequest(msg) | ServiceError::Internal(msg) => msg.clone(),
         other => other.to_string(),
     };
     Json::Obj(vec![
@@ -177,6 +177,7 @@ pub fn parse_response(v: &Json) -> Result<CompileOutcome, String> {
             "deadline-exceeded" => ServiceError::DeadlineExceeded,
             "bad-request" => ServiceError::BadRequest(msg),
             "frame-too-large" => ServiceError::FrameTooLarge,
+            "internal" => ServiceError::Internal(msg),
             other => return Err(format!("unknown error kind `{other}`")),
         }));
     }
@@ -377,6 +378,7 @@ mod tests {
             ServiceError::DeadlineExceeded,
             ServiceError::BadRequest("nope".into()),
             ServiceError::FrameTooLarge,
+            ServiceError::Internal("boom".into()),
         ] {
             let parsed = parse_response(&error_json(&e)).unwrap();
             assert_eq!(parsed, Err(e));

@@ -80,6 +80,10 @@ pub enum ServiceError {
     /// frame ([`crate::proto::MAX_FRAME`]); the client should split the
     /// request or raise the cap, the stream itself stays intact.
     FrameTooLarge,
+    /// The compiler panicked on this request; the payload is the panic
+    /// message. Nothing was stored, and the rest of the batch and the
+    /// service itself are unaffected.
+    Internal(String),
 }
 
 impl ServiceError {
@@ -90,6 +94,7 @@ impl ServiceError {
             ServiceError::DeadlineExceeded => "deadline-exceeded",
             ServiceError::BadRequest(_) => "bad-request",
             ServiceError::FrameTooLarge => "frame-too-large",
+            ServiceError::Internal(_) => "internal",
         }
     }
 }
@@ -103,6 +108,7 @@ impl fmt::Display for ServiceError {
             ServiceError::FrameTooLarge => {
                 write!(f, "response exceeds the protocol frame cap")
             }
+            ServiceError::Internal(msg) => write!(f, "internal compiler error: {msg}"),
         }
     }
 }
@@ -393,7 +399,8 @@ impl CompileService {
     /// under the lock (this is what makes the counters deterministic);
     /// the fresh compiles of all misses fan out together on the
     /// [`dbds_core::par`] unit pool without the lock, and are committed
-    /// back in submission order.
+    /// back in submission order. A compile that panics answers its own
+    /// request with [`ServiceError::Internal`] and stores nothing.
     pub fn compile_batch(&self, reqs: &[CompileRequest]) -> Vec<CompileOutcome> {
         // Rungs 1–2, sequentially per request: resolve, key, probe the
         // store, verify anything it returns.
@@ -441,19 +448,26 @@ impl CompileService {
             plan.unit_workers,
             &misses,
             |_i, (_idx, graph, _key, cfg, level)| {
-                let mut g = graph.clone();
-                let stats = compile(&mut g, model, *level, cfg);
-                (g, stats)
+                // Not every panic is contained inside `compile` (the
+                // Baseline pipeline and a checkpoints-off configuration
+                // run unguarded); one escaping here must fail only its
+                // own request, never the dispatcher that runs the batch.
+                dbds_core::isolate(|| {
+                    let mut g = graph.clone();
+                    let stats = compile(&mut g, model, *level, cfg);
+                    (g, stats)
+                })
             },
         );
 
         // Commit in submission order: reject deadline-truncated
         // results, install the rest (rungs 3–4 for the put).
         let mut cache = self.lock();
-        for ((idx, _graph, key, _cfg, level), (g, stats)) in misses.into_iter().zip(compiled) {
-            outcomes[idx] = Some(Self::commit_fresh(
-                &self.cfg, &mut cache, key, level, &g, &stats,
-            ));
+        for ((idx, _graph, key, _cfg, level), fresh) in misses.into_iter().zip(compiled) {
+            outcomes[idx] = Some(match fresh {
+                Ok((g, stats)) => Self::commit_fresh(&self.cfg, &mut cache, key, level, &g, &stats),
+                Err(panicked) => Err(ServiceError::Internal(panicked.to_string())),
+            });
         }
 
         outcomes
@@ -729,6 +743,54 @@ mod tests {
             );
             assert_eq!(svc.store_health().entries, 0, "{ir}");
         }
+    }
+
+    /// A panic that escapes `compile` answers its own request with a
+    /// typed `internal` error and stores nothing; the rest of the batch
+    /// is served, and the service keeps compiling afterwards. With one
+    /// unit thread the batch runs inline on this thread, where the
+    /// fault plan is armed, and with checkpoints off nothing inside
+    /// `compile` contains the panic.
+    #[cfg(feature = "fault-injection")]
+    #[test]
+    fn a_panicking_compile_fails_only_its_own_request() {
+        use dbds_core::faultinject::{arm, disarm, FaultKind, FaultPlan};
+        let mut base = DbdsConfig {
+            unit_threads: 1,
+            ..DbdsConfig::default()
+        };
+        base.guard.checkpoints = false;
+        let svc = CompileService::new(Box::new(MemStore::new()), base, ServiceConfig::default());
+        let reqs = [
+            req("wordcount", OptLevel::Dbds),
+            req("wordcount", OptLevel::Dupalot),
+        ];
+        arm(FaultPlan {
+            site: "transform/entry",
+            kind: FaultKind::Panic,
+            nth: 0,
+            seed: 0,
+        });
+        let out = svc.compile_batch(&reqs);
+        let (_, fired) = disarm();
+        assert!(fired, "the fault must fire inside the batch");
+        match &out[0] {
+            Err(e @ ServiceError::Internal(_)) => assert_eq!(e.kind(), "internal"),
+            other => panic!("expected Internal, got {other:?}"),
+        }
+        assert!(!out[1].as_ref().unwrap().cached);
+        let c = svc.counters();
+        assert_eq!((c.requests, c.misses, c.puts), (2, 2, 1));
+        assert_eq!(
+            svc.store_health().entries,
+            1,
+            "the failed compile is not stored"
+        );
+        // The service still serves: the failed request now compiles
+        // fresh, and the other one hits.
+        let again = svc.compile_batch(&reqs);
+        assert!(!again[0].as_ref().unwrap().cached);
+        assert!(again[1].as_ref().unwrap().cached);
     }
 
     #[test]

@@ -3,9 +3,25 @@
 
 use dbds::core::{compile, DbdsConfig, OptLevel};
 use dbds::costmodel::CostModel;
-use dbds::harness::{run_suite, IcacheModel, Metric};
+use dbds::harness::{format_summary, run_suite, IcacheModel, Metric, SuiteResult};
 use dbds::workloads::Suite;
+use std::sync::OnceLock;
 use std::time::Instant;
+
+/// Every suite at the default configuration — what `figures --summary`
+/// runs — computed once and shared by the tests that need all four.
+fn all_suites() -> &'static [SuiteResult] {
+    static RESULTS: OnceLock<Vec<SuiteResult>> = OnceLock::new();
+    RESULTS.get_or_init(|| {
+        let model = CostModel::new();
+        let cfg = DbdsConfig::default();
+        let ic = IcacheModel::default();
+        Suite::ALL
+            .iter()
+            .map(|&s| run_suite(s, &model, &cfg, &ic))
+            .collect()
+    })
+}
 
 #[test]
 fn micro_benefits_more_than_java_dacapo() {
@@ -43,10 +59,13 @@ fn suite_ordering_matches_the_paper() {
     // §6.2 orders the suites by DBDS peak improvement: Octane and micro
     // highest, Scala DaCapo in the middle, Java DaCapo least. Assert the
     // coarse ordering: {octane, micro} > scala > java.
-    let model = CostModel::new();
-    let cfg = DbdsConfig::default();
-    let ic = IcacheModel::default();
-    let peak = |s: Suite| run_suite(s, &model, &cfg, &ic).geomean(OptLevel::Dbds, Metric::Peak);
+    let peak = |s: Suite| {
+        all_suites()
+            .iter()
+            .find(|r| r.suite == s)
+            .expect("every suite was run")
+            .geomean(OptLevel::Dbds, Metric::Peak)
+    };
     let java = peak(Suite::JavaDaCapo);
     let scala = peak(Suite::ScalaDaCapo);
     let micro = peak(Suite::Micro);
@@ -60,6 +79,40 @@ fn suite_ordering_matches_the_paper() {
         "micro {micro:.2}% / octane {octane:.2}% should beat scala {scala:.2}%"
     );
     assert!(java > 0.0 && octane > 0.0, "all suites improve");
+}
+
+/// The deterministic columns of the cross-suite headline, pinned to the
+/// figures EXPERIMENTS.md reports: peak performance and code size of the
+/// `dbds` and `dupalot` rows, and the maximum DBDS peak gain. The
+/// compile-time column is wall clock and is left out. The simulation
+/// tier walks the dominator tree in preorder, so a change to that order
+/// shows up here.
+#[test]
+fn headline_summary_matches_experiments() {
+    let text = format_summary(all_suites());
+    let row = |name: &str| -> Vec<String> {
+        text.lines()
+            .find(|l| l.split('|').next().map(str::trim) == Some(name))
+            .unwrap_or_else(|| panic!("no `{name}` row in\n{text}"))
+            .split('|')
+            .map(|c| c.trim().to_string())
+            .collect()
+    };
+    let (dbds, dupalot) = (row("dbds"), row("dupalot"));
+    assert_eq!(
+        (dbds[1].as_str(), dbds[3].as_str()),
+        ("12.14%", "14.26%"),
+        "{text}"
+    );
+    assert_eq!(
+        (dupalot[1].as_str(), dupalot[3].as_str()),
+        ("10.79%", "27.01%"),
+        "{text}"
+    );
+    assert!(
+        text.contains("\nMaximum DBDS peak performance increase: 52.42%\n"),
+        "{text}"
+    );
 }
 
 #[test]
